@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergedRestartError
+from .errors import NoConvergedRestartError, NoConvergenceError
 from .linalg import BipartiteOperator, eig_hermitian, fro_norm, pt_mat
 from .states import haar_vector
 
@@ -84,7 +84,10 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
             val, a = _extreme_eigvec(_reduced_on_a(w4, b), mode)
             # each half-step is an exact local optimization, so the value
             # sequence must be monotone up to roundoff
-            assert better(val, prev) or abs(val - prev) <= 1e-9
+            if not (better(val, prev) or abs(val - prev) <= 1e-9):
+                raise NoConvergenceError(
+                    f"see-saw {mode} value moved the wrong way: {prev!r} -> {val!r}"
+                )
             if abs(val - prev) < SEESAW_VALUE_TOL:
                 converged = True
                 break

@@ -3,8 +3,7 @@
 Subcommands: state, family, report, mirror, blockpos, ndew, detect,
 verify.  Matrices travel as the JSON interchange format; reports are JSON
 or CSV.  Exit codes: 0 success, 1 check/verdict failure, 2 usage or input
-error.  All randomness flows from --seed (default 42, never wall clock);
-EWS_THREADS caps the suite worker count.
+error.  All randomness flows from --seed (default 42, never wall clock).
 """
 
 from __future__ import annotations

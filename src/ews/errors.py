@@ -10,7 +10,8 @@ class NotHermitianError(EwsError, ValueError):
 
 
 class NoConvergenceError(EwsError, RuntimeError):
-    """Iterative eigensolver exhausted its sweep budget."""
+    """LAPACK eigensolver or SVD failed to converge, or a see-saw value
+    sequence lost its monotonicity."""
 
 
 class LengthMismatchError(EwsError, ValueError):

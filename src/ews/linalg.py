@@ -17,9 +17,6 @@ from .errors import LengthMismatchError, NoConvergenceError, NotHermitianError
 
 # Hermiticity defect allowed relative to max(1, ||H||_F).
 HERM_RTOL = 1e-12
-# Off-diagonal Frobenius norm target for the Jacobi sweep, relative to ||H||_F.
-JACOBI_RTOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 # An eigenvalue counts as negative below -NEG_EIG_TOL * max(1, ||H||_F).
 NEG_EIG_TOL = 1e-10
 # Singular values below SV_TRUNC_RTOL * ||M||_F are truncated to zero.
@@ -39,6 +36,8 @@ def require_hermitian(h: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
     if herm_defect(h) > rtol * max(1.0, fro_norm(h)):
         raise NotHermitianError(
             f"Hermiticity defect {herm_defect(h):.3e} exceeds tolerance"
@@ -59,122 +58,34 @@ class Spectrum:
 
 
 def eig_hermitian(h: np.ndarray) -> Spectrum:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi sweeps.
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Deterministic: pivots are visited in fixed row-cyclic order, so identical
-    input yields identical output.  Converges when the off-diagonal Frobenius
-    norm drops below JACOBI_RTOL * ||H||_F; raises NoConvergenceError after
-    JACOBI_MAX_SWEEPS sweeps.  Intended for the dense orders (<= ~100 rows)
-    this package works at.
+    Raises NotHermitianError on non-square, non-finite or non-Hermitian
+    input and NoConvergenceError if LAPACK fails to converge.  Identical
+    input gives identical output on one numpy/LAPACK build.
     """
     h = require_hermitian(h)
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=complex)
-    thresh = JACOBI_RTOL * fro_norm(h)
-
-    def off_norm() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    sweeps = 0
-    while off_norm() > thresh:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise NoConvergenceError(
-                f"off-diagonal norm {off_norm():.3e} above {thresh:.3e} "
-                f"after {sweeps} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                ag = abs(g)
-                if ag == 0.0:
-                    continue
-                w = g / ag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * ag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                wc = w.conjugate()
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * wc * colq
-                a[:, q] = s * w * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * w * rowq
-                a[q, :] = s * wc * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * wc * vq
-                v[:, q] = s * w * vp + c * vq
-        sweeps += 1
-
-    vals = np.diag(a).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(values=vals[order], vectors=v[:, order])
-
-
-def _complete_columns(cols: np.ndarray, dim: int, want: int) -> np.ndarray:
-    """Extend orthonormal columns to `want` columns by deterministic
-    Gram-Schmidt over the standard basis."""
-    out = [cols[:, k] for k in range(cols.shape[1])]
-    i = 0
-    while len(out) < want:
-        cand = np.zeros(dim, dtype=complex)
-        cand[i] = 1.0
-        i += 1
-        for u in out:
-            cand = cand - np.vdot(u, cand) * u
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:
-            out.append(cand / norm)
-    return np.column_stack(out) if out else np.zeros((dim, 0), dtype=complex)
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh failed: {exc}") from exc
+    return Spectrum(values=vals[::-1], vectors=vecs[:, ::-1])
 
 
 def svd(m: np.ndarray, full: bool = False):
-    """Singular value decomposition M = U diag(s) V^dag.
+    """Singular value decomposition M = U diag(s) V^dag with LAPACK.
 
-    Built on the Hermitian eigensolver applied to M^dag M; singular values
-    below SV_TRUNC_RTOL * ||M||_F are truncated to zero and the matching
-    left columns are completed deterministically.  With full=True the
+    Returns (U, s, V), with V rather than V^dag.  Singular values below
+    SV_TRUNC_RTOL * ||M||_F are truncated to zero.  With full=True the
     factors are square unitaries.
     """
     m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    k = min(rows, cols)
-    gram = m.conj().T @ m
-    eig = eig_hermitian((gram + gram.conj().T) / 2.0)
-    trunc = SV_TRUNC_RTOL * max(fro_norm(m), 0.0)
-    sigma = np.sqrt(np.clip(eig.values[:k], 0.0, None))
-    sigma[sigma < trunc] = 0.0
-    v_cols = eig.vectors[:, :k]
-    u_list = []
-    for j in range(k):
-        if sigma[j] > 0.0:
-            u = m @ v_cols[:, j] / sigma[j]
-            for prev in u_list:
-                u = u - np.vdot(prev, u) * prev
-            nu = np.linalg.norm(u)
-            if nu > 0.0:
-                u_list.append(u / nu)
-    u_have = (
-        np.column_stack(u_list) if u_list else np.zeros((rows, 0), dtype=complex)
-    )
-    u = _complete_columns(u_have, rows, rows if full else k)
-    if full:
-        v = _complete_columns(v_cols, cols, cols)
-        sig = np.zeros(k)
-        sig[: len(sigma)] = sigma
-        return u, sig, v
-    return u, sigma, v_cols
+    try:
+        u, sigma, vh = np.linalg.svd(m, full_matrices=full)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"svd failed: {exc}") from exc
+    sigma[sigma < SV_TRUNC_RTOL * fro_norm(m)] = 0.0
+    return u, sigma, vh.conj().T
 
 
 @dataclass
@@ -243,7 +154,6 @@ def negativity(h: np.ndarray) -> float:
     Equals (||H||_1 - tr H)/2 and vanishes exactly on positive
     semidefinite input (within the NEG_EIG_TOL eigenvalue margin).
     """
-    h = require_hermitian(h)
     vals = eig_hermitian(h).values
     cut = -NEG_EIG_TOL * max(1.0, fro_norm(h))
     return float(-vals[vals < cut].sum())

@@ -12,15 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import states, witness
-from .errors import UnknownSuiteError
+from .errors import BadParamError, UnknownSuiteError
 from .linalg import (
     BipartiteOperator,
     eig_hermitian,
@@ -86,24 +84,6 @@ class SuiteReport:
         return self.n_fail == 0
 
 
-def _workers() -> int:
-    env = os.environ.get("EWS_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
-def _map_indexed(fn, count: int):
-    """Apply fn to 0..count-1 with results ordered by index.  Honors the
-    EWS_THREADS worker cap; every sample derives its own seed, so the
-    aggregation is deterministic regardless of the worker count."""
-    w = _workers()
-    if w <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _sample_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
 
@@ -122,7 +102,7 @@ def _sampled_reports(m: int, n: int, samples: int, seed: int):
         w = sample_dew(m, n, x, rank_p, rank_q, seed=int(rng.integers(0, 2**63)))
         return spectral_report(w)
 
-    reports = _map_indexed(one, samples)
+    reports = [one(i) for i in range(samples)]
     ews = [r for r in reports if r.is_ew]
     skipped = len(reports) - len(ews)
     return ews, skipped
@@ -414,7 +394,7 @@ def _suite_absolute_ppt(m, n, samples, seed):
             rotated = u @ rho.mat @ u.conj().T
             return float(eig_hermitian(pt_mat(rotated, m, n)).values[-1])
 
-        worst = min(_map_indexed(trial, samples))
+        worst = min(trial(i) for i in range(samples))
         checks.append(
             Check(
                 f"ap_{name}_unitary_orbit",
@@ -739,11 +719,17 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 def run_suite(
     name: str, m: int = 3, n: int = 3, samples: int | None = None, seed: int = 42
 ) -> SuiteReport:
-    """Execute a registered suite; failing checks are recorded, never raised."""
+    """Execute a registered suite; failing checks are recorded, never raised.
+
+    samples=None selects the suite's default count; otherwise it must be
+    at least 1.
+    """
     if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; registered: {', '.join(SUITE_NAMES)}"
         )
+    if samples is not None and samples < 1:
+        raise BadParamError(f"samples must be at least 1, got {samples}")
     start = time.perf_counter()
     checks, effective_samples = _SUITES[name](m, n, samples, seed)
     return SuiteReport(

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from ews import blockpos
 from ews.blockpos import (
     is_block_positive,
     product_expectation_max,
@@ -9,6 +12,7 @@ from ews.blockpos import (
     product_vector_in_subspace,
     zero_pattern_check,
 )
+from ews.errors import NoConvergenceError
 from ews.linalg import BipartiteOperator, eig_hermitian, kron, pt_mat
 from ews.states import max_entangled, tiles_upb_state
 
@@ -94,6 +98,19 @@ class TestSeesawMin:
         b = product_expectation_min(op, restarts=8, seed=10)
         assert a.value == b.value
         assert a.spread == b.spread
+
+    def test_non_monotone_values_raise(self, monkeypatch):
+        # a half-step that gets worse every call breaks the descent invariant
+        drift = itertools.count()
+        exact = blockpos._extreme_eigvec
+
+        def drifting(h, mode):
+            val, vec = exact(h, mode)
+            return val + next(drift), vec
+
+        monkeypatch.setattr(blockpos, "_extreme_eigvec", drifting)
+        with pytest.raises(NoConvergenceError):
+            product_expectation_min(random_bipartite(2, 2), restarts=2, seed=1)
 
 
 class TestSeesawMax:

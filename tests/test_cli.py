@@ -68,6 +68,21 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_nonfinite_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    run(
+        ["family", "--a", "0", "--b", "1", "--c", "0", "--d", "0",
+         "--m", "2", "--n", "2", "--out", str(path)],
+        capsys,
+    )
+    obj = json.loads(path.read_text())
+    obj["entries"][0] = [float("nan"), 0.0]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["report", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run(["report", "--input", "/nonexistent/w.json"], capsys)
     assert code == 2
@@ -171,6 +186,16 @@ def test_input_files_never_mutated(tmp_path, capsys):
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, _ = run(["verify", "--suite", "bogus"], capsys)
     assert code == 2
+
+
+def test_verify_zero_samples_exits_2(capsys):
+    code, out, _ = run(
+        ["verify", "--suite", "dew_bounds", "--m", "2", "--n", "2",
+         "--samples", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
 
 
 def test_usage_error_exits_2(capsys):

@@ -89,6 +89,17 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        h = np.eye(4, dtype=complex)
+        h[1, 1] = bad
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(h)
+        with pytest.raises(NotHermitianError):
+            negativity(h)
+        with pytest.raises(NotHermitianError):
+            BipartiteOperator(2, 2, h)
+
     def test_zero_matrix(self):
         eig = eig_hermitian(np.zeros((4, 4), dtype=complex))
         assert np.array_equal(eig.values, np.zeros(4))

@@ -63,6 +63,20 @@ class TestPureState:
             # reproduces the vector exactly, not merely up to phase
             assert np.linalg.norm(rebuilt - v) < 1e-10
 
+    @pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-7, 1.5e-8])
+    def test_from_vector_near_rank_deficiency(self, s):
+        # Schmidt coefficients proportional to (1, s, 0) under Haar-random
+        # local unitaries: a squared-condition-number SVD loses s here
+        rng = np.random.default_rng(1729)
+        coeffs = np.array([1.0, s, 0.0]) / np.hypot(1.0, s)
+        for _ in range(200):
+            ua = haar_unitary(3, rng)
+            ub = haar_unitary(3, rng)
+            v = (ua @ np.diag(coeffs) @ ub.T).reshape(9)
+            psi = PureState.from_vector(v, 3, 3)
+            assert psi.rank == 2
+            assert abs(psi.coeffs[1] / psi.coeffs[0] - s) <= 1e-12
+
 
 class TestMaxEntangled:
     def test_bell_2(self):

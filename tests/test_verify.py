@@ -1,8 +1,6 @@
-import os
-
 import pytest
 
-from ews.errors import UnknownSuiteError
+from ews.errors import BadParamError, UnknownSuiteError
 from ews.verify import (
     Check,
     SuiteReport,
@@ -67,14 +65,10 @@ def test_report_determinism_and_roundtrip():
     assert back == a
 
 
-def test_worker_count_does_not_change_bytes():
-    serial = run_suite("tail_sum_bounds", m=3, n=3, samples=60, seed=4)
-    os.environ["EWS_THREADS"] = "4"
-    try:
-        threaded = run_suite("tail_sum_bounds", m=3, n=3, samples=60, seed=4)
-    finally:
-        del os.environ["EWS_THREADS"]
-    assert emit_report(serial) == emit_report(threaded)
+@pytest.mark.parametrize("samples", [0, -1])
+def test_nonpositive_samples_rejected(samples):
+    with pytest.raises(BadParamError):
+        run_suite("dew_bounds", m=2, n=2, samples=samples, seed=1)
 
 
 def test_csv_header_only_for_empty_report():
