@@ -47,71 +47,79 @@ class BlockPositivityVerdict:
 
 
 def _reduced_on_b(w4: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ijkl,k->jl", a.conj(), w4, a)
+    return np.einsum("ri,ijkl,rk->rjl", a.conj(), w4, a)
 
 
 def _reduced_on_a(w4: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("j,ijkl,l->ik", b.conj(), w4, b)
+    return np.einsum("rj,ijkl,rl->rik", b.conj(), w4, b)
 
 
 def _extreme_eigvec(h: np.ndarray, mode: str):
-    h = (h + h.conj().T) / 2.0
+    """Extreme eigenvalue and eigenvector of each matrix in an (r, k, k)
+    stack, after symmetrising away roundoff."""
+    h = (h + h.swapaxes(-1, -2).conj()) / 2.0
     eig = eig_hermitian(h)
     if mode == "min":
-        return eig.values[-1], eig.vectors[:, -1]
-    return eig.values[0], eig.vectors[:, 0]
+        return eig.values[:, -1], eig.vectors[:, :, -1]
+    return eig.values[:, 0], eig.vectors[:, :, 0]
 
 
 def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptResult:
+    """All restarts step together; a restart leaves the live set once its
+    value moves by less than SEESAW_VALUE_TOL."""
     m, n = op.m, op.n
     w4 = op.mat.reshape(m, n, m, n)
-    better = (lambda x, y: x < y) if mode == "min" else (lambda x, y: x > y)
+    sign = 1.0 if mode == "min" else -1.0
 
-    best_val = None
-    best_a = best_b = None
-    converged_vals = []
+    # restart r starts from a Haar vector a drawn from default_rng(seed ^ r);
+    # the first half-step overwrites b
+    a = np.array(
+        [haar_vector(m, np.random.default_rng(seed ^ r)) for r in range(restarts)],
+        dtype=complex,
+    ).reshape(restarts, m)
+    b = np.zeros((restarts, n), dtype=complex)
+    vals = np.full(restarts, sign * np.inf)
+    converged = np.zeros(restarts, dtype=bool)
+    live = np.arange(restarts)
     total_iters = 0
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        a = haar_vector(m, rng)
-        b = haar_vector(n, rng)
-        prev = np.inf if mode == "min" else -np.inf
-        converged = False
-        val = prev
-        for _ in range(SEESAW_ITER_CAP):
-            total_iters += 1
-            _, b = _extreme_eigvec(_reduced_on_b(w4, a), mode)
-            val, a = _extreme_eigvec(_reduced_on_a(w4, b), mode)
-            # each half-step is an exact local optimization, so the value
-            # sequence must be monotone up to roundoff
-            if not (better(val, prev) or abs(val - prev) <= 1e-9):
-                raise NoConvergenceError(
-                    f"see-saw {mode} value moved the wrong way: {prev!r} -> {val!r}"
-                )
-            if abs(val - prev) < SEESAW_VALUE_TOL:
-                converged = True
-                break
-            prev = val
-        if not converged:
-            continue
-        converged_vals.append(val)
-        if best_val is None or better(val, best_val):
-            best_val = val
-            best_a, best_b = a, b
-    if best_val is None:
+    for _ in range(SEESAW_ITER_CAP):
+        if live.size == 0:
+            break
+        total_iters += live.size
+        _, b_live = _extreme_eigvec(_reduced_on_b(w4, a[live]), mode)
+        val, a_live = _extreme_eigvec(_reduced_on_a(w4, b_live), mode)
+        prev = vals[live]
+        # each half-step is an exact local optimization, so the value
+        # sequence must be monotone up to roundoff
+        wrong = ~((sign * val < sign * prev) | (np.abs(val - prev) <= 1e-9))
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise NoConvergenceError(
+                f"see-saw {mode} value moved the wrong way: "
+                f"{float(prev[i])!r} -> {float(val[i])!r}"
+            )
+        done = np.abs(val - prev) < SEESAW_VALUE_TOL
+        a[live], b[live], vals[live] = a_live, b_live, val
+        converged[live[done]] = True
+        live = live[~done]
+    if not converged.any():
         raise NoConvergedRestartError(
             f"none of {restarts} restarts converged within {SEESAW_ITER_CAP} iterations"
         )
-    vals = np.asarray(converged_vals)
+    idx = np.flatnonzero(converged)
+    conv_vals = vals[idx]
+    # the first converged restart holding the extreme value, as a loop over
+    # restarts in order would keep it
+    best = idx[np.argmin(sign * conv_vals)]
     return OptResult(
-        value=float(best_val),
-        vec_a=best_a,
-        vec_b=best_b,
+        value=float(vals[best]),
+        vec_a=a[best],
+        vec_b=b[best],
         restarts_tried=restarts,
-        restarts_converged=len(converged_vals),
-        spread=float(vals.max() - vals.min()),
+        restarts_converged=len(idx),
+        spread=float(conv_vals.max() - conv_vals.min()),
         iterations=total_iters,
-        converged_values=vals,
+        converged_values=conv_vals,
     )
 
 

@@ -20,6 +20,11 @@ from .linalg import operator_to_json, read_operator
 DEFAULT_SEED = 42
 
 
+def _dumps(obj, indent=None) -> str:
+    # a NaN or Inf that reached the output is an error, not a JSON extension
+    return json.dumps(obj, indent=indent, allow_nan=False)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -29,7 +34,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_operator(op, out: str | None) -> None:
-    _emit(json.dumps(operator_to_json(op)) + "\n", out)
+    _emit(_dumps(operator_to_json(op)) + "\n", out)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -103,7 +108,7 @@ def _cmd_report(args) -> int:
     if args.format == "csv":
         _emit(_report_csv(rep), args.out)
     else:
-        _emit(json.dumps(_report_payload(rep), indent=2) + "\n", args.out)
+        _emit(_dumps(_report_payload(rep), indent=2) + "\n", args.out)
     return 0
 
 
@@ -118,7 +123,7 @@ def _cmd_mirror(args) -> int:
         "spread": res.opt.spread,
         "mirror_operator": operator_to_json(res.w_m),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -135,7 +140,7 @@ def _cmd_blockpos(args) -> int:
                 None if verdict.counterexample is None else verdict.counterexample[2]
             ),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_dumps(payload, indent=2) + "\n", args.out)
         return 0 if verdict.status.startswith("yes") else 1
     fn = (
         blockpos.product_expectation_min
@@ -152,7 +157,7 @@ def _cmd_blockpos(args) -> int:
         "vec_a": [[z.real, z.imag] for z in opt.vec_a],
         "vec_b": [[z.real, z.imag] for z in opt.vec_b],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -165,7 +170,7 @@ def _cmd_ndew(args) -> int:
         "provenance": w.provenance,
         "witness": operator_to_json(w.op),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -177,7 +182,7 @@ def _cmd_detect(args) -> int:
         "pipeline": cert.pipeline,
         "witness": operator_to_json(cert.witness.op),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -254,7 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="certify an NPT state against a witness")
     p.add_argument("--input", required=True)
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="accepted for compatibility; detection does not depend on it",
+    )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_detect)
 

@@ -27,27 +27,36 @@ def fro_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def herm_defect(h: np.ndarray) -> float:
-    """Largest entrywise deviation of H from its own conjugate transpose."""
-    return float(np.abs(h - h.conj().T).max())
-
-
 def require_hermitian(h: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
+    """Check that `h` is a Hermitian matrix, or a stack (..., k, k) of them.
+
+    Each matrix may deviate from its conjugate transpose by at most
+    rtol * max(1, ||H||_F) entrywise.
+    """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
-    if herm_defect(h) > rtol * max(1.0, fro_norm(h)):
-        raise NotHermitianError(
-            f"Hermiticity defect {herm_defect(h):.3e} exceeds tolerance"
-        )
+    defect = np.abs(h - h.swapaxes(-1, -2).conj())
+    # rtol is the smallest tolerance any matrix gets, so per-matrix defects
+    # and norms are only needed once some entry exceeds it
+    if defect.max() > rtol:
+        defect = defect.max(axis=(-2, -1))
+        tol = rtol * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+        bad = defect > tol
+        if bad.any():
+            worst = np.max(defect, where=bad, initial=0.0)
+            raise NotHermitianError(
+                f"Hermiticity defect {worst:.3e} exceeds tolerance"
+            )
     return h
 
 
 @dataclass
 class Spectrum:
-    """Eigenvalues in non-increasing order with matching eigenvector columns."""
+    """Eigenvalues in non-increasing order with matching eigenvector columns
+    (along the last axes for a stack of matrices)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -58,7 +67,8 @@ class Spectrum:
 
 
 def eig_hermitian(h: np.ndarray) -> Spectrum:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+    """Diagonalize a Hermitian matrix, or a stack (..., k, k) of them, with
+    LAPACK (``numpy.linalg.eigh``).
 
     Raises NotHermitianError on non-square, non-finite or non-Hermitian
     input and NoConvergenceError if LAPACK fails to converge.  Identical
@@ -69,7 +79,7 @@ def eig_hermitian(h: np.ndarray) -> Spectrum:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigh failed: {exc}") from exc
-    return Spectrum(values=vals[::-1], vectors=vecs[:, ::-1])
+    return Spectrum(values=vals[..., ::-1], vectors=vecs[..., ::-1])
 
 
 def svd(m: np.ndarray, full: bool = False):
@@ -220,7 +230,7 @@ def operator_from_json(obj: dict, allow_nonhermitian: bool = False) -> Bipartite
 
 def write_operator(path: str, op: BipartiteOperator) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(operator_to_json(op), fh)
+        json.dump(operator_to_json(op), fh, allow_nan=False)
 
 
 def read_operator(path: str, allow_nonhermitian: bool = False) -> BipartiteOperator:

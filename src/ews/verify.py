@@ -772,7 +772,7 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
             "n_fail": report.n_fail,
             "checks": [asdict(c) for c in report.checks],
         }
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")

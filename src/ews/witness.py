@@ -521,12 +521,14 @@ def _base_edge_state(kind: str) -> BipartiteOperator:
     raise ValueError(kind)
 
 
-def _base_witness(kind: str, restarts: int, seed: int):
-    key = (kind, restarts, seed)
+def _base_witness(kind: str, restarts: int):
+    """Kernel witness of a base edge state, built once per (kind, restarts)
+    at see-saw seed 0: it depends on nothing but its fixed edge state."""
+    key = (kind, restarts)
     if key not in _BASE_CACHE:
         sigma = _base_edge_state(kind)
         _BASE_CACHE[key] = ndew_from_edge(
-            sigma, NdewParams(), restarts=restarts, seed=seed
+            sigma, NdewParams(), restarts=restarts, seed=0
         )
     return _BASE_CACHE[key]
 
@@ -544,7 +546,11 @@ def detect_npt(
     kernel witness along PT(|Psi_d><Psi_d|) just enough to reach the
     filtered state, and pull the result back through the inverse filters.
     The certificate stores tr(W rho) < 0 together with the construction
-    trail.
+    trail and the base witness's margin evidence.
+
+    The base witness is built once per (base, restarts) in a process, at
+    see-saw seed 0, so `seed` does not change the detection result; it is
+    kept for compatibility.
     """
     m, n = rho.m, rho.n
     if m > n:
@@ -571,7 +577,7 @@ def detect_npt(
         kind = "gamma1"
     else:
         kind = "gamma2"
-    base = _base_witness(kind, restarts, seed)
+    base = _base_witness(kind, restarts)
     base_op = embed_operator(base.op, m, n)
     base_state = embed_operator(base.detected_state, m, n)
     base_pad = Witness(
@@ -629,6 +635,9 @@ def detect_npt(
             "t": t,
             "carrier": carrier,
             "base_expectation": base_expect,
+            "base_epsilon_estimate": base.provenance["epsilon_estimate"],
+            "base_epsilon_spread": base.provenance["epsilon_spread"],
+            "base_restarts_converged": base.provenance["restarts_converged"],
         },
         filters=filters,
     )

@@ -14,7 +14,7 @@ from ews.blockpos import (
 )
 from ews.errors import NoConvergenceError
 from ews.linalg import BipartiteOperator, eig_hermitian, kron, pt_mat
-from ews.states import max_entangled, tiles_upb_state
+from ews.states import haar_vector, max_entangled, tiles_upb_state
 
 RNG = np.random.default_rng(321)
 
@@ -111,6 +111,50 @@ class TestSeesawMin:
         monkeypatch.setattr(blockpos, "_extreme_eigvec", drifting)
         with pytest.raises(NoConvergenceError):
             product_expectation_min(random_bipartite(2, 2), restarts=2, seed=1)
+
+
+def loop_seesaw(op, restarts, seed, mode):
+    """Reference see-saw: one restart at a time, one 2-D eigensolve per
+    half-step.  Returns (best value, restarts converged, iterations)."""
+    m, n = op.m, op.n
+    w4 = op.mat.reshape(m, n, m, n)
+    better = (lambda x, y: x < y) if mode == "min" else (lambda x, y: x > y)
+
+    def extreme(h):
+        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        i = 0 if mode == "min" else -1
+        return vals[i], vecs[:, i]
+
+    best, n_conv, iters = None, 0, 0
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        a = haar_vector(m, rng)
+        prev = np.inf if mode == "min" else -np.inf
+        for _ in range(blockpos.SEESAW_ITER_CAP):
+            iters += 1
+            _, b = extreme(np.einsum("i,ijkl,k->jl", a.conj(), w4, a))
+            val, a = extreme(np.einsum("j,ijkl,l->ik", b.conj(), w4, b))
+            if abs(val - prev) < blockpos.SEESAW_VALUE_TOL:
+                n_conv += 1
+                if best is None or better(val, best):
+                    best = val
+                break
+            prev = val
+    return best, n_conv, iters
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_batched_seesaw_matches_restart_loop(dims, mode):
+    rng = np.random.default_rng([*dims, mode == "max"])
+    fn = product_expectation_min if mode == "min" else product_expectation_max
+    for seed in range(6):
+        op = random_bipartite(*dims, rng=rng)
+        got = fn(op, restarts=12, seed=seed)
+        value, n_conv, iters = loop_seesaw(op, 12, seed, mode)
+        assert abs(got.value - value) < 1e-10
+        assert got.restarts_converged == n_conv
+        assert got.iterations == iters
 
 
 class TestSeesawMax:

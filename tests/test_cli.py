@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ews import witness
 from ews.cli import main
 from ews.linalg import read_operator
 
@@ -83,6 +84,26 @@ def test_nonfinite_input_exits_2(tmp_path, capsys):
     assert out == "" and "error" in err
 
 
+def test_nan_in_output_exits_2(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "w.json")
+    run(
+        ["family", "--a", "0", "--b", "1", "--c", "0", "--d", "0",
+         "--m", "2", "--n", "2", "--out", path],
+        capsys,
+    )
+    real = witness.spectral_report
+
+    def nan_report(op):
+        rep = real(op)
+        rep.lambda_min = float("nan")
+        return rep
+
+    monkeypatch.setattr(witness, "spectral_report", nan_report)
+    code, out, err = run(["report", "--input", path], capsys)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run(["report", "--input", "/nonexistent/w.json"], capsys)
     assert code == 2
@@ -151,7 +172,13 @@ def test_ndew_and_detect_commands(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["expectation"] < -1e-9
+    payload = json.loads(out)
+    assert payload["expectation"] < -1e-9
+    pipeline = payload["pipeline"]
+    assert pipeline["base"] == "gamma1"
+    assert pipeline["base_epsilon_estimate"] > 0
+    assert pipeline["base_epsilon_spread"] >= 0
+    assert pipeline["base_restarts_converged"] == 64
 
 
 def test_verify_exit_codes_and_determinism(tmp_path, capsys):

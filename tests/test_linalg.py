@@ -100,6 +100,41 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             BipartiteOperator(2, 2, h)
 
+    def test_stack_matches_per_matrix_calls(self):
+        for k in (2, 3, 6):
+            stack = np.stack([random_hermitian(k) for _ in range(5)])
+            eig = eig_hermitian(stack)
+            assert eig.values.shape == (5, k) and eig.vectors.shape == (5, k, k)
+            for h, vals, vecs in zip(stack, eig.values, eig.vectors):
+                one = eig_hermitian(h)
+                assert np.array_equal(vals, one.values)
+                assert np.array_equal(vecs, one.vectors)
+
+    def test_stack_with_one_nonfinite_member_rejected(self):
+        stack = np.stack([random_hermitian(3) for _ in range(4)])
+        stack[2, 0, 0] = np.nan
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(stack)
+
+    def test_stack_with_one_nonhermitian_member_rejected(self):
+        stack = np.stack([random_hermitian(3) for _ in range(4)])
+        stack[1, 0, 2] += 1e-6
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(stack)
+
+    def test_stack_tolerance_is_per_matrix(self):
+        # the large member may carry a defect its own norm allows, which
+        # would exceed the tolerance of a unit-norm member
+        big = 100.0 * random_hermitian(3)
+        tol = 1e-12 * fro_norm(big)
+        big[0, 1] += 0.9 * tol
+        stack = np.stack([np.eye(3, dtype=complex), big])
+        eig_hermitian(stack)
+        small = np.eye(3, dtype=complex)
+        small[0, 1] += 0.9 * tol
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(np.stack([small, 100.0 * random_hermitian(3)]))
+
     def test_zero_matrix(self):
         eig = eig_hermitian(np.zeros((4, 4), dtype=complex))
         assert np.array_equal(eig.values, np.zeros(4))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ews import witness
 from ews.errors import (
     BadParamError,
     EpsilonVanishesError,
@@ -354,6 +355,24 @@ class TestDetectNpt:
             if cert.pipeline["base"] == "gamma2":
                 hits += 1
         assert hits > 0
+
+    def test_base_witness_built_once_across_seeds(self, monkeypatch):
+        monkeypatch.setattr(witness, "_BASE_CACHE", {})
+        rho = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()
+        certs = [detect_npt(rho, restarts=64, seed=s) for s in (0, 1, 2)]
+        assert list(witness._BASE_CACHE) == [("gamma1", 64)]
+        first = certs[0].witness.op.mat.tobytes()
+        assert all(c.witness.op.mat.tobytes() == first for c in certs)
+
+    def test_pipeline_carries_base_margin_evidence(self):
+        rho = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()
+        cert = detect_npt(rho, restarts=64, seed=3)
+        base = witness._base_witness("gamma1", 64).provenance
+        assert cert.pipeline["base_epsilon_estimate"] == base["epsilon_estimate"]
+        assert cert.pipeline["base_epsilon_spread"] == base["epsilon_spread"]
+        assert cert.pipeline["base_restarts_converged"] == base["restarts_converged"]
+        assert cert.pipeline["base_epsilon_estimate"] > 0
+        assert cert.pipeline["base_restarts_converged"] == 64
 
     def test_ppt_input_rejected(self):
         with pytest.raises(IsPPTError):
