@@ -27,9 +27,11 @@ from .linalg import (
 )
 from .states import canonical_state, haar_unitary, max_entangled, pure_from_schmidt
 from .witness import (
+    BOUND_TOL,
     FamilyParams,
     NdewParams,
     boost_witness,
+    bound_table,
     detect_npt,
     mirror,
     ndew_from_edge,
@@ -111,34 +113,36 @@ def _sampled_reports(m: int, n: int, samples: int, seed: int):
 # ---------------------------------------------------------------------------
 # Suites.
 
+def _row_values(reports, name):
+    """Measured values of one bound-table row across a report stream."""
+    return [b.measured for r in reports for b in r.bounds if b.name == name]
+
+
+# (bound-table row, statement) of each dew_bounds range check.
+_DEW_RANGES = (
+    ("lambda1", "largest eigenvalue stays inside (1/{d1}, 1)"),
+    ("lambda_min", "smallest eigenvalue stays inside [-1/2, 0)"),
+    ("fro_sq", "squared Frobenius norm stays inside (1/{d1}, 1]"),
+    ("neg_count", "at most {upper} negative eigenvalues"),
+    ("negativity", "negativity at most {upper}"),
+)
+
+
 def _suite_dew_bounds(m, n, samples, seed):
     samples = samples or 10_000
     reports, skipped = _sampled_reports(m, n, samples, seed)
-    d = m * n
+    table = {row[0]: row for row in bound_table(m, n)}
     checks = []
-
-    def count_violations(name):
-        bad = 0
-        for r in reports:
-            for b in r.bounds:
-                if b.name == name and not b.passed:
-                    bad += 1
-        return bad
-
-    rows = [
-        ("lambda1", f"largest eigenvalue stays inside (1/{d - 1}, 1)"),
-        ("lambda_min", "smallest eigenvalue stays inside [-1/2, 0)"),
-        ("fro_sq", f"squared Frobenius norm stays inside (1/{d - 1}, 1]"),
-        ("neg_count", f"at most {(m - 1) * (n - 1)} negative eigenvalues"),
-    ]
-    if m == n:
-        rows.append(("negativity", f"negativity at most {(m - 1) / 2}"))
-    for name, stmt in rows:
-        bad = count_violations(name)
+    for name, stmt in _DEW_RANGES:
+        if name not in table:
+            continue
+        bad = sum(
+            1 for r in reports for b in r.bounds if b.name == name and not b.passed
+        )
         checks.append(
             Check(
                 claim_id=f"dew_{name}_range",
-                statement=stmt,
+                statement=stmt.format(d1=m * n - 1, upper=table[name][2]),
                 passed=bad == 0,
                 measured=float(bad),
                 expected=0.0,
@@ -146,18 +150,17 @@ def _suite_dew_bounds(m, n, samples, seed):
                 note=f"{len(reports)} witnesses from {samples} samples",
             )
         )
-    if reports:
-        max_l1 = max(r.lambda1 for r in reports)
-        min_fro = min(r.fro_sq for r in reports)
-    else:
-        max_l1, min_fro = 0.0, 1.0
+    l1_sup = table["lambda1"][2]
+    _, fro_inf, fro_sup, _ = table["fro_sq"]
+    max_l1 = max(_row_values(reports, "lambda1"), default=0.0)
+    min_fro = min(_row_values(reports, "fro_sq"), default=fro_sup)
     checks.append(
         Check(
             claim_id="dew_lambda1_sup_unattained",
             statement="no sample reaches the largest-eigenvalue supremum 1",
-            passed=max_l1 < 1.0 - 1e-6,
+            passed=max_l1 < l1_sup - 1e-6,
             measured=max_l1,
-            expected=1.0,
+            expected=l1_sup,
             tolerance=1e-6,
             note="sampling evidence",
         )
@@ -165,10 +168,10 @@ def _suite_dew_bounds(m, n, samples, seed):
     checks.append(
         Check(
             claim_id="dew_fro_inf_unattained",
-            statement=f"no sample reaches the Frobenius infimum 1/{d - 1}",
-            passed=min_fro > 1.0 / (d - 1) + 1e-6,
+            statement=f"no sample reaches the Frobenius infimum 1/{m * n - 1}",
+            passed=min_fro > fro_inf + 1e-6,
             measured=min_fro,
-            expected=1.0 / (d - 1),
+            expected=fro_inf,
             tolerance=1e-6,
             note="sampling evidence",
         )
@@ -188,86 +191,49 @@ def _suite_dew_bounds(m, n, samples, seed):
     return checks, samples
 
 
+# (claim id, bound-table row, side checked, statement) of each
+# ew_spectral_ranges check.
+_EW_RANGES = (
+    ("ew_lambda_min_floor", "lambda_min", "lower",
+     "smallest eigenvalue never drops below -1/2"),
+    ("ew_lambda1_floor", "lambda1", "lower",
+     "largest eigenvalue stays above 1/{d1}"),
+    ("ew_neg_count_cap", "neg_count", "upper",
+     "never more than {bound} negative eigenvalues"),
+    ("ew_qubit_pair_sum", "pair_sum", "lower",
+     "second-largest plus smallest eigenvalue is non-negative"),
+    ("ew_qubit_tail3", "tail_from_3", "lower",
+     "eigenvalue tail from the third entry respects its floor"),
+    ("ew_qubit_tailk", "tail_from_4_on", "lower",
+     "every tail from the fourth entry on stays above -1/2"),
+    ("ew_negativity_cap", "negativity", "upper",
+     "negativity never exceeds {bound}"),
+)
+
+
 def _suite_ew_spectral_ranges(m, n, samples, seed):
     samples = samples or 10_000
     reports, skipped = _sampled_reports(m, n, samples, seed)
+    table = {row[0]: row for row in bound_table(m, n)}
     checks = []
-
-    def add(claim, stmt, measured, expected, tol, passed, note=""):
-        checks.append(Check(claim, stmt, passed, measured, expected, tol, note))
-
-    lam_min_worst = min((r.lambda_min for r in reports), default=0.0)
-    add(
-        "ew_lambda_min_floor",
-        "smallest eigenvalue never drops below -1/2",
-        lam_min_worst,
-        -0.5,
-        1e-9,
-        lam_min_worst >= -0.5 - 1e-9,
-        f"{len(reports)} witnesses, {skipped} skipped",
-    )
-    lam1_worst = min((r.lambda1 for r in reports), default=1.0)
-    add(
-        "ew_lambda1_floor",
-        f"largest eigenvalue stays above 1/{m * n - 1}",
-        lam1_worst,
-        1.0 / (m * n - 1),
-        1e-9,
-        lam1_worst > 1.0 / (m * n - 1) - 1e-9,
-    )
-    worst_neg_count = max((r.neg_count for r in reports), default=0)
-    add(
-        "ew_neg_count_cap",
-        f"never more than {(m - 1) * (n - 1)} negative eigenvalues",
-        float(worst_neg_count),
-        float((m - 1) * (n - 1)),
-        0.0,
-        worst_neg_count <= (m - 1) * (n - 1),
-    )
-    if m == 2:
-        pair = min((r.lambdas[1] + r.lambdas[-1] for r in reports), default=0.0)
-        add(
-            "ew_qubit_pair_sum",
-            "second-largest plus smallest eigenvalue is non-negative",
-            pair,
-            0.0,
-            1e-9,
-            pair >= -1e-9,
+    for claim, name, side, stmt in _EW_RANGES:
+        if name not in table:
+            continue
+        _, lower, upper, _ = table[name]
+        bound, other, pick = (
+            (lower, upper, min) if side == "lower" else (upper, lower, max)
         )
-        tail3 = min((float(r.lambdas[2:].sum()) for r in reports), default=0.0)
-        bound3 = -1.0 / (2.0 + 2.0 * SQRT2)
-        add(
-            "ew_qubit_tail3",
-            "eigenvalue tail from the third entry respects its floor",
-            tail3,
-            bound3,
-            1e-9,
-            tail3 >= bound3 - 1e-9,
+        # an empty stream reads as the row's other bound, or 0
+        worst = pick(
+            _row_values(reports, name), default=0 if other is None else other
         )
-        tailk = min(
-            (
-                min(float(r.lambdas[k - 1 :].sum()) for k in range(4, 2 * n + 1))
-                for r in reports
-            ),
-            default=0.0,
-        )
-        add(
-            "ew_qubit_tailk",
-            "every tail from the fourth entry on stays above -1/2",
-            tailk,
-            -0.5,
-            1e-9,
-            tailk >= -0.5 - 1e-9,
-        )
-    if m == n:
-        worst_neg = max((r.negativity for r in reports), default=0.0)
-        add(
-            "ew_negativity_cap",
-            f"negativity never exceeds {(m - 1) / 2}",
-            worst_neg,
-            (m - 1) / 2.0,
-            1e-9,
-            worst_neg <= (m - 1) / 2.0 + 1e-9,
+        # integer bounds cap counts, which are exact
+        tol = 0.0 if isinstance(bound, int) else BOUND_TOL
+        passed = worst >= bound - tol if side == "lower" else worst <= bound + tol
+        note = "" if checks else f"{len(reports)} witnesses, {skipped} skipped"
+        checks.append(
+            Check(claim, stmt.format(d1=m * n - 1, bound=bound), passed, worst,
+                  bound, tol, note)
         )
     return checks, samples
 
@@ -556,6 +522,7 @@ def _embedded_pure(coeffs, m, n) -> BipartiteOperator:
 
 
 def _suite_npt_detection(m, n, samples, seed):
+    witness._require_detectable(m, n)
     samples = samples or 50
     checks = []
     fixed = [

@@ -10,6 +10,7 @@ qubit-qubit and qubit-qutrit cases) against a nondecomposable witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,13 +226,54 @@ class SpectrumReport:
 BOUND_TOL = 1e-9
 
 
+def bound_table(m: int, n: int) -> list[tuple]:
+    """Sharp bounds on a unit-trace witness on C^m (x) C^n, in report order.
+
+    Each row is (name, lower, upper, attained_at).  attained_at names the
+    side some witness reaches ("lower" or "upper"), or None where the
+    report does not flag attainment.  Bounds are builtin floats or ints,
+    None where a side is unbounded.
+    """
+    d = m * n
+    rows = [
+        ("lambda1", 1.0 / (d - 1), 1.0, None),
+        ("lambda_min", -0.5, 0.0, "lower"),
+        ("fro_sq", 1.0 / (d - 1), 1.0, "upper"),
+        ("neg_count", None, (m - 1) * (n - 1), None),
+    ]
+    if m == 2:
+        rows += [
+            ("pair_sum", 0.0, None, None),
+            ("tail_from_3", -1.0 / (2.0 + 2.0 * math.sqrt(2.0)), None, None),
+            ("tail_from_4_on", -0.5, None, None),
+        ]
+    if m == n:
+        rows.append(("negativity", None, (m - 1) / 2.0, "upper"))
+    return rows
+
+
+# How each row of the bound table is measured on a report; the qubit tail
+# sums are evaluated only where the table lists them.
+_MEASURE = {
+    "lambda1": lambda r: r.lambda1,
+    "lambda_min": lambda r: r.lambda_min,
+    "fro_sq": lambda r: r.fro_sq,
+    "neg_count": lambda r: r.neg_count,
+    "negativity": lambda r: r.negativity,
+    "pair_sum": lambda r: r.lambdas[1] + r.lambdas[-1],
+    "tail_from_3": lambda r: r.lambdas[2:].sum(),
+    "tail_from_4_on": lambda r: min(
+        r.lambdas[k - 1 :].sum() for k in range(4, len(r.lambdas) + 1)
+    ),
+}
+
+
 def spectral_report(w) -> SpectrumReport:
     """Eigenvalue summary plus verdicts against the normalized-witness
     bound table.  PSD input is flagged as not a witness and carries no
     bound rows."""
     op = w.op if isinstance(w, Witness) else w
     m, n = op.m, op.n
-    d = m * n
     lam = eig_hermitian(op.mat).values
     scale = max(1.0, fro_norm(op.mat))
     neg_cut = -linalg.NEG_EIG_TOL * scale
@@ -249,44 +291,15 @@ def spectral_report(w) -> SpectrumReport:
     )
     if not report.is_ew:
         return report
-
-    def row(name, measured, lower=None, upper=None, attained=False):
-        ok = True
-        if lower is not None:
-            ok = ok and measured >= lower - BOUND_TOL
-        if upper is not None:
-            ok = ok and measured <= upper + BOUND_TOL
-        report.bounds.append(
-            ReportBound(name, float(measured), lower, upper, bool(ok), attained)
+    for name, lower, upper, attained_at in bound_table(m, n):
+        value = _MEASURE[name](report)
+        ok = (lower is None or value >= lower - BOUND_TOL) and (
+            upper is None or value <= upper + BOUND_TOL
         )
-
-    row("lambda1", report.lambda1, lower=1.0 / (d - 1), upper=1.0)
-    row(
-        "lambda_min",
-        report.lambda_min,
-        lower=-0.5,
-        upper=0.0,
-        attained=abs(report.lambda_min + 0.5) <= BOUND_TOL,
-    )
-    row(
-        "fro_sq",
-        report.fro_sq,
-        lower=1.0 / (d - 1),
-        upper=1.0,
-        attained=abs(report.fro_sq - 1.0) <= BOUND_TOL,
-    )
-    row("neg_count", report.neg_count, upper=(m - 1) * (n - 1))
-    if m == 2:
-        row("pair_sum", lam[1] + lam[-1], lower=0.0)
-        row("tail_from_3", lam[2:].sum(), lower=-1.0 / (2.0 + 2.0 * np.sqrt(2.0)))
-        worst_tail = min(lam[k - 1 :].sum() for k in range(4, 2 * n + 1))
-        row("tail_from_4_on", worst_tail, lower=-0.5)
-    if m == n:
-        row(
-            "negativity",
-            report.negativity,
-            upper=(m - 1) / 2.0,
-            attained=abs(report.negativity - (m - 1) / 2.0) <= BOUND_TOL,
+        edge = {"lower": lower, "upper": upper}.get(attained_at)
+        attained = edge is not None and abs(value - edge) <= BOUND_TOL
+        report.bounds.append(
+            ReportBound(name, float(value), lower, upper, bool(ok), attained)
         )
     return report
 
@@ -533,6 +546,16 @@ def _base_witness(kind: str, restarts: int):
     return _BASE_CACHE[key]
 
 
+def _require_detectable(m: int, n: int) -> None:
+    """Reject the sizes on which detect_npt has no base witness to offer."""
+    if m > n:
+        raise BadParamError("expects m <= n; transpose the factors first")
+    if m * n <= 6:
+        raise BadParamError(
+            "qubit-qubit and qubit-qutrit systems admit no nondecomposable witness"
+        )
+
+
 def detect_npt(
     rho: BipartiteOperator, restarts: int = 64, seed: int = 0
 ) -> DetectionCertificate:
@@ -553,12 +576,7 @@ def detect_npt(
     kept for compatibility.
     """
     m, n = rho.m, rho.n
-    if m > n:
-        raise BadParamError("expects m <= n; transpose the factors first")
-    if m * n <= 6:
-        raise BadParamError(
-            "qubit-qubit and qubit-qutrit systems admit no nondecomposable witness"
-        )
+    _require_detectable(m, n)
     if states.is_ppt(rho):
         raise IsPPTError("state has a positive partial transpose")
     eig = eig_hermitian(pt_mat(rho.mat, m, n))

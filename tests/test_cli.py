@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -41,6 +43,24 @@ def test_report_csv_has_scalar_rows(tmp_path, capsys):
     assert lines[0].startswith("name,measured")
     names = {line.split(",")[0] for line in lines[1:]}
     assert {"lambda1", "lambda_min", "negativity", "fro_sq"} <= names
+
+
+def test_report_csv_numbers_are_plain_floats(tmp_path, capsys):
+    w_path = str(tmp_path / "w.json")
+    run(
+        ["family", "--a", "0.3", "--b", "0.7", "--c", "0", "--d", "0",
+         "--m", "2", "--n", "3", "--out", w_path],
+        capsys,
+    )
+    code, out, _ = run(["report", "--input", w_path, "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert any(row["name"] == "tail_from_3" for row in rows)
+    for row in rows:
+        for key in ("measured", "lower", "upper"):
+            if row[key]:
+                assert "np." not in row[key]
+                float(row[key])
 
 
 def test_state_emission(tmp_path, capsys):
@@ -213,6 +233,14 @@ def test_input_files_never_mutated(tmp_path, capsys):
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, _ = run(["verify", "--suite", "bogus"], capsys)
     assert code == 2
+
+
+def test_verify_npt_detection_without_base_witness_exits_2(capsys):
+    code, out, _ = run(
+        ["verify", "--suite", "npt_detection", "--m", "2", "--n", "2"], capsys
+    )
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_zero_samples_exits_2(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ews.blockpos import product_expectation_max, product_expectation_min
 from ews.linalg import BipartiteOperator, eig_hermitian, fro_norm, kron, pt_mat
+from ews.witness import bound_table, sample_dew, spectral_report
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.sampled_from([(2, 2), (2, 3), (3, 3)])
@@ -45,3 +46,21 @@ def test_partial_transpose_is_an_involution(m, n, seed):
     once = pt_mat(mat, m, n)
     assert np.array_equal(pt_mat(once, m, n), mat)
     assert np.trace(once) == np.trace(mat)
+
+
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]),
+    x=st.floats(min_value=0.0, max_value=0.99),
+    rank_q=st.integers(min_value=1, max_value=4),
+    seed=seeds,
+)
+def test_sampled_witnesses_meet_the_bound_table(dims, x, rank_q, seed):
+    m, n = dims
+    rep = spectral_report(sample_dew(m, n, x, rank_q=rank_q, seed=seed))
+    if not rep.is_ew:
+        return
+    assert [b.name for b in rep.bounds] == [row[0] for row in bound_table(m, n)]
+    assert rep.all_pass, [b for b in rep.bounds if not b.passed]
+    for b in rep.bounds:
+        assert type(b.lower) in (float, int, type(None))
+        assert type(b.upper) in (float, int, type(None))

@@ -71,6 +71,12 @@ def test_nonpositive_samples_rejected(samples):
         run_suite("dew_bounds", m=2, n=2, samples=samples, seed=1)
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+def test_npt_detection_rejects_sizes_without_a_base_witness(m, n):
+    with pytest.raises(BadParamError):
+        run_suite("npt_detection", m=m, n=n, samples=5, seed=1)
+
+
 def test_csv_header_only_for_empty_report():
     empty = SuiteReport(suite="empty", m=2, n=2, samples=0, seed=0, checks=[])
     data = emit_report(empty, "csv").decode()
