@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatchError, NoConvergenceError, NotHermitianError
+from .errors import (
+    BadParamError,
+    LengthMismatchError,
+    NoConvergenceError,
+    NotHermitianError,
+)
 
 # Hermiticity defect allowed relative to max(1, ||H||_F).
 HERM_RTOL = 1e-12
@@ -27,11 +32,11 @@ def fro_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def require_hermitian(h: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
+def require_hermitian(h: np.ndarray) -> np.ndarray:
     """Check that `h` is a Hermitian matrix, or a stack (..., k, k) of them.
 
     Each matrix may deviate from its conjugate transpose by at most
-    rtol * max(1, ||H||_F) entrywise.
+    HERM_RTOL * max(1, ||H||_F) entrywise.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -39,11 +44,11 @@ def require_hermitian(h: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     if not np.isfinite(h).all():
         raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
     defect = np.abs(h - h.swapaxes(-1, -2).conj())
-    # rtol is the smallest tolerance any matrix gets, so per-matrix defects
-    # and norms are only needed once some entry exceeds it
-    if defect.max() > rtol:
+    # HERM_RTOL is the smallest tolerance any matrix gets, so per-matrix
+    # defects and norms are only needed once some entry exceeds it
+    if defect.max() > HERM_RTOL:
         defect = defect.max(axis=(-2, -1))
-        tol = rtol * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+        tol = HERM_RTOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
         bad = defect > tol
         if bad.any():
             worst = np.max(defect, where=bad, initial=0.0)
@@ -108,6 +113,8 @@ class BipartiteOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise BadParamError(f"dims ({self.m}, {self.n}) must both be >= 1")
         self.mat = np.asarray(self.mat, dtype=complex)
         d = self.m * self.n
         if self.mat.shape != (d, d):

@@ -74,16 +74,14 @@ class PureState:
         return BipartiteOperator(self.m, self.n, np.outer(v, v.conj()))
 
     @classmethod
-    def from_vector(
-        cls, vec: np.ndarray, m: int, n: int, rank_tol: float = SCHMIDT_RANK_TOL
-    ) -> "PureState":
+    def from_vector(cls, vec: np.ndarray, m: int, n: int) -> "PureState":
         """Schmidt-decompose a dense unit vector of length m*n."""
         vec = np.asarray(vec, dtype=complex).reshape(m * n)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-9:
             raise NormViolationError(f"vector norm {norm} != 1")
         u, s, v = linalg.svd(vec.reshape(m, n))
-        d = int(np.sum(s > rank_tol))
+        d = int(np.sum(s > SCHMIDT_RANK_TOL))
         if d == 0:
             raise NormViolationError("vector is numerically zero")
         return cls(
@@ -219,20 +217,22 @@ def rho_a_state(a: float) -> BipartiteOperator:
     return BipartiteOperator(3, 3, r.astype(complex) / (8.0 * a + 1.0))
 
 
-CANONICAL_NAMES = (
-    "zeta1",
-    "zeta2",
-    "rho1",
-    "rho2",
-    "rho_b",
-    "rho_a",
-    "gamma",
-    "gamma_prime",
-    "gamma1",
-    "gamma2",
-    "tiles_upb",
-    "max_ball_center",
-)
+# Each canonical state and the parameters it takes; any other key is an error.
+_STATE_PARAMS = {
+    "zeta1": ("m", "l"),
+    "zeta2": ("m", "n"),
+    "rho1": ("m", "n", "normalized"),
+    "rho2": ("m", "n", "normalized"),
+    "rho_b": ("b",),
+    "rho_a": ("a",),
+    "gamma": (),
+    "gamma_prime": (),
+    "gamma1": (),
+    "gamma2": (),
+    "tiles_upb": (),
+    "max_ball_center": ("m", "n"),
+}
+CANONICAL_NAMES = tuple(_STATE_PARAMS)
 
 
 def canonical_state(name: str, **params) -> BipartiteOperator:
@@ -253,7 +253,14 @@ def canonical_state(name: str, **params) -> BipartiteOperator:
                        detection pipeline.
     tiles_upb          normalized complement of the tiles product basis.
     max_ball_center(m, n)  maximally mixed state.
+
+    A key the named state does not take raises BadParamError.
     """
+    if name not in _STATE_PARAMS:
+        raise BadParamError(f"unknown canonical state {name!r}")
+    unknown = sorted(set(params) - set(_STATE_PARAMS[name]))
+    if unknown:
+        raise BadParamError(f"{name} takes no parameter {', '.join(unknown)}")
     if name == "zeta1":
         m = int(params.get("m", 3))
         l = int(params.get("l", 1))
@@ -275,13 +282,15 @@ def canonical_state(name: str, **params) -> BipartiteOperator:
         m = int(params.get("m", 3))
         n = int(params.get("n", m))
         _require_dims(m, n)
-        normalized = bool(params.get("normalized", True))
+        normalized = params.get("normalized", True)
+        if normalized not in (True, False):
+            raise BadParamError(f"normalized={normalized!r} is not a bool, 0 or 1")
         diag = np.ones(m * n)
         if name == "rho1":
             diag[0] = diag[1] = np.sqrt(2.0) + 1.0
         else:
             diag[0] = diag[1] = diag[2] = 2.0
-        return _diag_state(diag, m, n, normalized=normalized)
+        return _diag_state(diag, m, n, normalized=bool(normalized))
     if name == "rho_b":
         return rho_b_state(float(params.get("b", 0.9)))
     if name == "rho_a":
@@ -299,7 +308,6 @@ def canonical_state(name: str, **params) -> BipartiteOperator:
         n = int(params.get("n", m))
         _require_dims(m, n)
         return BipartiteOperator(m, n, np.eye(m * n, dtype=complex) / (m * n))
-    raise BadParamError(f"unknown canonical state {name!r}")
 
 
 def _require_dims(m: int, n: int) -> None:
@@ -362,11 +370,11 @@ def as_2xn_test(spectrum) -> bool:
     return bool(lam[0] <= rhs + 1e-12)
 
 
-def is_ppt(rho: BipartiteOperator, tol: float = 1e-10) -> bool:
+def is_ppt(rho: BipartiteOperator) -> bool:
     """True iff the partial transpose has no eigenvalue below
-    -tol * max(1, ||rho||_F)."""
+    -NEG_EIG_TOL * max(1, ||rho||_F)."""
     vals = eig_hermitian(pt_mat(rho.mat, rho.m, rho.n)).values
-    return bool(vals[-1] >= -tol * max(1.0, linalg.fro_norm(rho.mat)))
+    return bool(vals[-1] >= -linalg.NEG_EIG_TOL * max(1.0, linalg.fro_norm(rho.mat)))
 
 
 # ---------------------------------------------------------------------------

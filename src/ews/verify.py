@@ -129,7 +129,6 @@ _DEW_RANGES = (
 
 
 def _suite_dew_bounds(m, n, samples, seed):
-    samples = samples or 10_000
     reports, skipped = _sampled_reports(m, n, samples, seed)
     table = {row[0]: row for row in bound_table(m, n)}
     checks = []
@@ -188,7 +187,7 @@ def _suite_dew_bounds(m, n, samples, seed):
             gating=True,
         )
     )
-    return checks, samples
+    return checks
 
 
 # (claim id, bound-table row, side checked, statement) of each
@@ -212,7 +211,6 @@ _EW_RANGES = (
 
 
 def _suite_ew_spectral_ranges(m, n, samples, seed):
-    samples = samples or 10_000
     reports, skipped = _sampled_reports(m, n, samples, seed)
     table = {row[0]: row for row in bound_table(m, n)}
     checks = []
@@ -235,7 +233,7 @@ def _suite_ew_spectral_ranges(m, n, samples, seed):
             Check(claim, stmt.format(d1=m * n - 1, bound=bound), passed, worst,
                   bound, tol, note)
         )
-    return checks, samples
+    return checks
 
 
 def _suite_dew_attainability(m, n, samples, seed):
@@ -317,11 +315,10 @@ def _suite_dew_attainability(m, n, samples, seed):
     add("family_lambda1_sweep",
         "family largest eigenvalue sweeps 1 - b/2 across (0, 1]",
         worst_top, 0.0, 1e-10)
-    return checks, samples or 0
+    return checks
 
 
 def _suite_tail_sum_bounds(m, n, samples, seed):
-    samples = samples or 1_000
     reports, skipped = _sampled_reports(m, n, samples, seed)
     pair = min((float(r.lambdas[-2:].sum()) for r in reports), default=0.0)
     triple = min((float(r.lambdas[-3:].sum()) for r in reports), default=0.0)
@@ -344,11 +341,10 @@ def _suite_tail_sum_bounds(m, n, samples, seed):
             1e-9,
         ),
     ]
-    return checks, samples
+    return checks
 
 
 def _suite_absolute_ppt(m, n, samples, seed):
-    samples = samples or 1_000
     d = m * n
     checks = []
     for name in ("rho1", "rho2"):
@@ -389,7 +385,7 @@ def _suite_absolute_ppt(m, n, samples, seed):
             1e-10,
         )
     )
-    return checks, samples
+    return checks
 
 
 def _kernel_pt_floor(sigma: BipartiteOperator) -> float:
@@ -514,7 +510,7 @@ def _suite_ndew_constructions(m, n, samples, seed):
             Check("boost_negativity_convergence", "boost convergence",
                   False, 0.0, 1.0, 0.05, note=repr(exc))
         )
-    return checks, samples or 0
+    return checks
 
 
 def _embedded_pure(coeffs, m, n) -> BipartiteOperator:
@@ -523,7 +519,6 @@ def _embedded_pure(coeffs, m, n) -> BipartiteOperator:
 
 def _suite_npt_detection(m, n, samples, seed):
     witness._require_detectable(m, n)
-    samples = samples or 50
     checks = []
     fixed = [
         ("detect_bell2_3x3", _embedded_pure([2**-0.5] * 2, 3, 3),
@@ -579,7 +574,7 @@ def _suite_npt_detection(m, n, samples, seed):
             f"{worst:.3e}" + ("; " + "; ".join(notes) if notes else ""),
         )
     )
-    return checks, samples
+    return checks
 
 
 def _suite_mirror_conditions(m, n, samples, seed):
@@ -666,18 +661,19 @@ def _suite_mirror_conditions(m, n, samples, seed):
             note=f"{n_mirror_ew} mirror witnesses among {len(battery)} sources",
         )
     )
-    return checks, samples or 0
+    return checks
 
 
+# name -> (suite, default sample count; 0 where the suite draws no samples)
 _SUITES = {
-    "dew_bounds": _suite_dew_bounds,
-    "ew_spectral_ranges": _suite_ew_spectral_ranges,
-    "dew_attainability": _suite_dew_attainability,
-    "tail_sum_bounds": _suite_tail_sum_bounds,
-    "absolute_ppt": _suite_absolute_ppt,
-    "ndew_constructions": _suite_ndew_constructions,
-    "npt_detection": _suite_npt_detection,
-    "mirror_conditions": _suite_mirror_conditions,
+    "dew_bounds": (_suite_dew_bounds, 10_000),
+    "ew_spectral_ranges": (_suite_ew_spectral_ranges, 10_000),
+    "dew_attainability": (_suite_dew_attainability, 0),
+    "tail_sum_bounds": (_suite_tail_sum_bounds, 1_000),
+    "absolute_ppt": (_suite_absolute_ppt, 1_000),
+    "ndew_constructions": (_suite_ndew_constructions, 0),
+    "npt_detection": (_suite_npt_detection, 50),
+    "mirror_conditions": (_suite_mirror_conditions, 0),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -697,13 +693,15 @@ def run_suite(
         )
     if samples is not None and samples < 1:
         raise BadParamError(f"samples must be at least 1, got {samples}")
+    suite, default = _SUITES[name]
+    samples = default if samples is None else samples
     start = time.perf_counter()
-    checks, effective_samples = _SUITES[name](m, n, samples, seed)
+    checks = suite(m, n, samples, seed)
     return SuiteReport(
         suite=name,
         m=m,
         n=n,
-        samples=int(effective_samples),
+        samples=int(samples),
         seed=seed,
         checks=checks,
         wall_time=time.perf_counter() - start,

@@ -94,10 +94,8 @@ class FamilyParams:
                 raise BadParamError(f"weight {name}={w} outside [0, 1]")
         if abs(self.a + self.b + self.c + self.d - 1.0) > 1e-12:
             raise BadParamError("weights must sum to 1")
-        if self.m > self.n or self.m * self.n < 4:
-            raise BadParamError(
-                f"dims ({self.m}, {self.n}) need m <= n and mn >= 4"
-            )
+        if not 2 <= self.m <= self.n:
+            raise BadParamError(f"dims ({self.m}, {self.n}) need 2 <= m <= n")
 
 
 def _basis_ket(m: int, n: int, i: int, j: int) -> np.ndarray:
@@ -271,9 +269,11 @@ _MEASURE = {
 def spectral_report(w) -> SpectrumReport:
     """Eigenvalue summary plus verdicts against the normalized-witness
     bound table.  PSD input is flagged as not a witness and carries no
-    bound rows."""
+    bound rows.  A trivial factor (m or n below 2) admits no witness and
+    raises BadParamError."""
     op = w.op if isinstance(w, Witness) else w
     m, n = op.m, op.n
+    states._require_dims(m, n)
     lam = eig_hermitian(op.mat).values
     scale = max(1.0, fro_norm(op.mat))
     neg_cut = -linalg.NEG_EIG_TOL * scale
@@ -346,7 +346,6 @@ def mirror(w: Witness, restarts: int = 64, seed: int = 0) -> MirrorResult:
 class NdewParams:
     z: float = 1.0
     delta: float = 1e-3
-    t: float | None = None  # boost weight; None selects the automatic choice
 
     def __post_init__(self):
         if self.z <= 0 or self.delta <= 0:

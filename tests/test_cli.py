@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ews
 from ews import witness
-from ews.cli import main
-from ews.linalg import read_operator
+from ews.cli import build_parser, main
+from ews.linalg import read_operator, write_operator
+from ews.states import pure_from_schmidt
 
 
 def run(argv, capsys):
@@ -257,3 +262,106 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family", "--a", "1"])  # missing required weights
     assert exc.value.code == 2
+
+
+def _write_matrix(path, m, n, diag):
+    entries = [[0.0, 0.0]] * (m * n) ** 2
+    for i, x in enumerate(diag):
+        entries[i * (m * n) + i] = [x, 0.0]
+    path.write_text(json.dumps({"m": m, "n": n, "entries": entries}))
+    return str(path)
+
+
+def test_process_exit_codes(tmp_path):
+    # the way the `ews` script and `python -m ews.cli` run: sys.exit(main())
+    src = os.path.dirname(os.path.dirname(ews.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # <00|H|00> = -1/2, so H is not block positive
+    neg = _write_matrix(tmp_path / "neg.json", 2, 2, [-0.5, 0.5, 0.5, 0.5])
+    for argv, code in (
+        (["state", "--name", "gamma"], 0),
+        (["blockpos", "--mode", "verdict", "--input", neg, "--restarts", "4"], 1),
+        (["verify", "--suite", "bogus"], 2),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ews.cli", *argv],
+            env=env, capture_output=True, cwd=tmp_path,
+        )
+        assert proc.returncode == code, proc.stderr
+
+
+def test_out_receives_the_stdout_bytes(tmp_path, capsysbinary):
+    w = str(tmp_path / "w.json")
+    assert main(["family", "--a", "0.5", "--b", "0.5", "--c", "0", "--d", "0",
+                 "--m", "2", "--n", "3", "--out", w]) == 0
+    bell = str(tmp_path / "bell.json")
+    write_operator(bell, pure_from_schmidt([2**-0.5] * 2, 3, 3).projector())
+    gp = str(tmp_path / "gp.json")
+    assert main(["state", "--name", "gamma_prime", "--out", gp]) == 0
+    see_saw = ["--restarts", "8", "--seed", "3"]
+    commands = [
+        ["state", "--name", "rho_b", "--param", "b=0.7"],
+        ["family", "--a", "0", "--b", "1", "--c", "0", "--d", "0"],
+        ["report", "--input", w],
+        ["report", "--input", w, "--format", "csv"],
+        ["mirror", "--input", w, *see_saw],
+        ["blockpos", "--mode", "min", "--input", w, *see_saw],
+        ["blockpos", "--mode", "verdict", "--input", w, *see_saw],
+        ["ndew", "--input", gp, "--seed", "5"],
+        ["detect", "--input", bell],
+        ["verify", "--suite", "dew_attainability", "--m", "2", "--n", "2"],
+        ["verify", "--suite", "dew_attainability", "--format", "csv"],
+    ]
+    assert {argv[0] for argv in commands} == set(
+        build_parser()._subparsers._group_actions[0].choices
+    )
+    capsysbinary.readouterr()
+    for i, argv in enumerate(commands):
+        code = main(argv)
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / f"out-{i}"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsysbinary.readouterr().out == b""
+        assert stdout and out.read_bytes() == stdout, argv
+
+
+def test_trivial_factor_report_exits_2(tmp_path, capsys):
+    path = _write_matrix(tmp_path / "w21.json", 2, 1, [1.5, -0.5])
+    code, out, err = run(["report", "--input", path], capsys)
+    assert code == 2
+    assert out == "" and "must both be >= 2" in err
+
+
+def test_negative_family_sizes_exit_2(capsys):
+    code, out, _ = run(
+        ["family", "--a", "1", "--b", "0", "--c", "0", "--d", "0",
+         "--m", "-3", "--n", "-2"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--name", "rho_b", "--param", "B=0.5"],
+        ["--name", "gamma", "--param", "bogus=3"],
+        ["--name", "gamma", "--m", "3"],
+        ["--name", "rho1", "--param", "normalized=no"],
+    ],
+)
+def test_state_rejects_params_it_does_not_take(argv, capsys):
+    code, out, err = run(["state", *argv], capsys)
+    assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("value", ["false", "False", "FALSE", "0"])
+def test_state_normalized_false_gives_the_raw_diagonal(value, capsys):
+    code, out, _ = run(
+        ["state", "--name", "rho2", "--m", "2", "--n", "2",
+         "--param", f"normalized={value}"],
+        capsys,
+    )
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [entries[5 * i][0] for i in range(4)] == [2.0, 2.0, 2.0, 1.0]

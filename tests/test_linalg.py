@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ews.errors import LengthMismatchError, NotHermitianError
+from ews.errors import BadParamError, LengthMismatchError, NotHermitianError
 from ews.linalg import (
     BipartiteOperator,
     eig_hermitian,
@@ -331,3 +331,10 @@ def test_embed_operator():
     # the embedded corner carries the original entries
     idx = [i * 3 + j for i in range(2) for j in range(2)]
     assert np.allclose(big.mat[np.ix_(idx, idx)], op.mat)
+
+
+@pytest.mark.parametrize("m, n", [(-2, -2), (0, 3), (3, 0)])
+def test_bipartite_operator_rejects_non_positive_sizes(m, n):
+    d = max(m * n, 0)
+    with pytest.raises(BadParamError):
+        BipartiteOperator(m, n, np.eye(d, dtype=complex) / max(d, 1))

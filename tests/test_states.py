@@ -307,3 +307,26 @@ class TestRandomState:
 def test_haar_unitary_is_unitary():
     u = haar_unitary(5, np.random.default_rng(3))
     assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("rho_b", {"B": 0.5}),
+        ("gamma", {"bogus": 3}),
+        ("gamma", {"m": 3}),
+        ("zeta1", {"n": 3}),
+        ("rho1", {"normalized": "no"}),
+        ("rho2", {"normalized": 2}),
+    ],
+)
+def test_canonical_state_rejects_keys_and_values_it_does_not_take(name, params):
+    with pytest.raises(BadParamError):
+        canonical_state(name, **params)
+
+
+def test_canonical_state_normalized_accepts_bools_and_0_1():
+    raw = canonical_state("rho1", m=2, n=2, normalized=False)
+    assert np.array_equal(canonical_state("rho1", m=2, n=2, normalized=0).mat, raw.mat)
+    unit = canonical_state("rho1", m=2, n=2, normalized=1)
+    assert abs(unit.trace() - 1.0) < 1e-12

@@ -99,3 +99,9 @@ def test_nongating_checks_do_not_fail_suite():
     )
     assert report.passed
     assert report.n_fail == 0
+
+
+def test_run_suite_resolves_default_sample_counts():
+    assert run_suite("dew_attainability", m=2, n=2).samples == 0
+    assert run_suite("dew_attainability", m=2, n=2, samples=5).samples == 5
+    assert run_suite("absolute_ppt", m=2, n=2, seed=3).samples == 1_000

@@ -404,3 +404,22 @@ def test_boost_direction_orthogonal_to_bases():
     pt2_24 = pt_mat(pure_from_schmidt([2**-0.5] * 2, 2, 4).projector().mat, 2, 4)
     assert abs(np.trace(pt2_24 @ sigma).real) < 1e-10
     assert eig_hermitian(pt_mat(sigma, 2, 4)).values[-1] >= -1e-10
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 1)])
+def test_spectral_report_rejects_a_trivial_factor(m, n):
+    lam = np.zeros(m * n)
+    lam[0], lam[-1] = 1.5, -0.5
+    with pytest.raises(BadParamError):
+        spectral_report(BipartiteOperator(m, n, np.diag(lam)))
+
+
+@pytest.mark.parametrize("m, n", [(-3, -2), (1, 4), (1, 1), (3, 2)])
+def test_family_params_reject_bad_sizes(m, n):
+    with pytest.raises(BadParamError):
+        FamilyParams(1.0, 0.0, 0.0, 0.0, m, n)
+
+
+def test_ndew_params_take_no_boost_weight():
+    with pytest.raises(TypeError):
+        NdewParams(t=5.0)
