@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergedRestartError, NoConvergenceError
-from .linalg import BipartiteOperator, eig_hermitian, fro_norm, pt_mat
+from .linalg import BipartiteOperator, eig_hermitian, fro_norm, is_psd, pt_mat
 from .states import haar_vector
 
 SEESAW_ITER_CAP = 500
@@ -142,11 +142,6 @@ def product_expectation_max(
     return _seesaw(op, restarts, seed, "max")
 
 
-def _is_psd(mat: np.ndarray) -> bool:
-    vals = eig_hermitian(mat).values
-    return bool(vals[-1] >= -1e-10 * max(1.0, fro_norm(mat)))
-
-
 def is_block_positive(
     op: BipartiteOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> BlockPositivityVerdict:
@@ -159,7 +154,7 @@ def is_block_positive(
     evidence rather than proof; everything else is inconclusive.
     """
     scale = max(1.0, fro_norm(op.mat))
-    if _is_psd(op.mat) or _is_psd(pt_mat(op.mat, op.m, op.n)):
+    if is_psd(op.mat) or is_psd(pt_mat(op.mat, op.m, op.n)):
         return BlockPositivityVerdict(
             status="yes-psd",
             counterexample=None,

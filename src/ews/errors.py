@@ -10,8 +10,8 @@ class NotHermitianError(EwsError, ValueError):
 
 
 class NoConvergenceError(EwsError, RuntimeError):
-    """LAPACK eigensolver or SVD failed to converge, or a see-saw value
-    sequence lost its monotonicity."""
+    """LAPACK eigensolver or SVD failed to converge, a see-saw value
+    sequence lost its monotonicity, or a local filter missed its target."""
 
 
 class LengthMismatchError(EwsError, ValueError):

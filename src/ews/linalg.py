@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -165,6 +166,16 @@ def embed_operator(op: BipartiteOperator, m: int, n: int) -> BipartiteOperator:
     return BipartiteOperator(m, n, big)
 
 
+def negative_cut(h: np.ndarray) -> float:
+    """Eigenvalues of `h` below this value count as negative."""
+    return -NEG_EIG_TOL * max(1.0, fro_norm(h))
+
+
+def is_psd(h: np.ndarray) -> bool:
+    """True iff no eigenvalue of `h` lies below negative_cut(h)."""
+    return bool(eig_hermitian(h).values[-1] >= negative_cut(h))
+
+
 def negativity(h: np.ndarray) -> float:
     """Absolute value of the sum of negative eigenvalues.
 
@@ -172,8 +183,7 @@ def negativity(h: np.ndarray) -> float:
     semidefinite input (within the NEG_EIG_TOL eigenvalue margin).
     """
     vals = eig_hermitian(h).values
-    cut = -NEG_EIG_TOL * max(1.0, fro_norm(h))
-    return float(-vals[vals < cut].sum())
+    return float(-vals[vals < negative_cut(h)].sum())
 
 
 def majorizes(y: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -215,24 +225,27 @@ def operator_to_json(op: BipartiteOperator) -> dict:
     }
 
 
-def operator_from_json(obj: dict, allow_nonhermitian: bool = False) -> BipartiteOperator:
+def operator_from_json(obj: dict) -> BipartiteOperator:
+    """Operator from the interchange format.  Raises BadParamError unless m
+    and n are JSON integers and entries is a list of (m*n)^2 pairs
+    [re, im] of JSON numbers."""
     try:
-        m = int(obj["m"])
-        n = int(obj["n"])
-        entries = obj["entries"]
+        m, n, entries = obj["m"], obj["n"], obj["entries"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+        raise BadParamError(f"malformed matrix object: {exc}") from exc
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
+        raise BadParamError(f"dims ({m!r}, {n!r}) must be positive JSON integers")
     d = m * n
-    if len(entries) != d * d:
-        raise ValueError(
-            f"expected {d * d} entries for dims ({m}, {n}), got {len(entries)}"
-        )
-    mat = np.array(
-        [complex(re, im) for re, im in entries], dtype=complex
-    ).reshape(d, d)
-    if allow_nonhermitian:
-        mat = (mat + mat.conj().T) / 2.0
-    return BipartiteOperator(m, n, mat)
+    if type(entries) is not list or len(entries) != d * d:
+        raise BadParamError(f"entries must be a list of {d * d} [re, im] pairs")
+    try:
+        mat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParamError(f"entries must be [re, im] number pairs: {exc}") from exc
+    # complex() would read true/false as 1/0
+    if bool in set(map(type, chain.from_iterable(entries))):
+        raise BadParamError("entries must be [re, im] number pairs, not booleans")
+    return BipartiteOperator(m, n, mat.reshape(d, d))
 
 
 def write_operator(path: str, op: BipartiteOperator) -> None:
@@ -240,7 +253,7 @@ def write_operator(path: str, op: BipartiteOperator) -> None:
         json.dump(operator_to_json(op), fh, allow_nan=False)
 
 
-def read_operator(path: str, allow_nonhermitian: bool = False) -> BipartiteOperator:
+def read_operator(path: str) -> BipartiteOperator:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return operator_from_json(obj, allow_nonhermitian=allow_nonhermitian)
+    return operator_from_json(obj)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import states, witness
-from .errors import BadParamError, UnknownSuiteError
+from .errors import BadParamError, EwsError, UnknownSuiteError
 from .linalg import (
     BipartiteOperator,
     eig_hermitian,
@@ -111,6 +111,29 @@ def _sampled_reports(m: int, n: int, samples: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# Checks.
+
+# The pass rule of each relation between a measured and an expected value:
+# inclusive of the tolerance for ==, >= and <=, strict for > and <.
+_RELATIONS = {
+    "==": lambda v, e, tol: abs(v - e) <= tol,
+    ">=": lambda v, e, tol: v >= e - tol,
+    "<=": lambda v, e, tol: v <= e + tol,
+    ">": lambda v, e, tol: v > e + tol,
+    "<": lambda v, e, tol: v < e - tol,
+}
+
+
+def _check(claim, statement, measured, rel, expected, tol, note=""):
+    """Gating check that passes when `measured rel expected` holds within
+    `tol`.  A measurement that raised an EwsError is recorded as measured
+    0.0 with the exception as its note; every check built that way tests
+    `< 0`, which 0.0 fails."""
+    passed = _RELATIONS[rel](measured, expected, tol)
+    return Check(claim, statement, passed, measured, expected, tol, note)
+
+
+# ---------------------------------------------------------------------------
 # Suites.
 
 def _row_values(reports, name):
@@ -131,6 +154,7 @@ _DEW_RANGES = (
 def _suite_dew_bounds(m, n, samples, seed):
     reports, skipped = _sampled_reports(m, n, samples, seed)
     table = {row[0]: row for row in bound_table(m, n)}
+    note = f"{len(reports)} witnesses from {samples} samples"
     checks = []
     for name, stmt in _DEW_RANGES:
         if name not in table:
@@ -138,74 +162,40 @@ def _suite_dew_bounds(m, n, samples, seed):
         bad = sum(
             1 for r in reports for b in r.bounds if b.name == name and not b.passed
         )
-        checks.append(
-            Check(
-                claim_id=f"dew_{name}_range",
-                statement=stmt.format(d1=m * n - 1, upper=table[name][2]),
-                passed=bad == 0,
-                measured=float(bad),
-                expected=0.0,
-                tolerance=0.0,
-                note=f"{len(reports)} witnesses from {samples} samples",
-            )
-        )
+        stmt = stmt.format(d1=m * n - 1, upper=table[name][2])
+        checks.append(_check(f"dew_{name}_range", stmt, bad, "==", 0.0, 0.0, note))
     l1_sup = table["lambda1"][2]
     _, fro_inf, fro_sup, _ = table["fro_sq"]
     max_l1 = max(_row_values(reports, "lambda1"), default=0.0)
     min_fro = min(_row_values(reports, "fro_sq"), default=fro_sup)
-    checks.append(
-        Check(
-            claim_id="dew_lambda1_sup_unattained",
-            statement="no sample reaches the largest-eigenvalue supremum 1",
-            passed=max_l1 < l1_sup - 1e-6,
-            measured=max_l1,
-            expected=l1_sup,
-            tolerance=1e-6,
-            note="sampling evidence",
-        )
-    )
-    checks.append(
-        Check(
-            claim_id="dew_fro_inf_unattained",
-            statement=f"no sample reaches the Frobenius infimum 1/{m * n - 1}",
-            passed=min_fro > fro_inf + 1e-6,
-            measured=min_fro,
-            expected=fro_inf,
-            tolerance=1e-6,
-            note="sampling evidence",
-        )
-    )
-    checks.append(
-        Check(
-            claim_id="dew_sampler_yield",
-            statement="sampler produced witnesses to test",
-            passed=len(reports) > 0,
-            measured=float(len(reports)),
-            expected=1.0,
-            tolerance=0.0,
-            note=f"{skipped} PSD samples skipped",
-            gating=True,
-        )
-    )
-    return checks
+    return checks + [
+        _check("dew_lambda1_sup_unattained",
+               "no sample reaches the largest-eigenvalue supremum 1",
+               max_l1, "<", l1_sup, 1e-6, "sampling evidence"),
+        _check("dew_fro_inf_unattained",
+               f"no sample reaches the Frobenius infimum 1/{m * n - 1}",
+               min_fro, ">", fro_inf, 1e-6, "sampling evidence"),
+        _check("dew_sampler_yield", "sampler produced witnesses to test",
+               len(reports), ">=", 1.0, 0.0, f"{skipped} PSD samples skipped"),
+    ]
 
 
-# (claim id, bound-table row, side checked, statement) of each
-# ew_spectral_ranges check.
+# (claim id, bound-table row, relation, statement) of each
+# ew_spectral_ranges check; >= checks the row's lower bound, <= its upper.
 _EW_RANGES = (
-    ("ew_lambda_min_floor", "lambda_min", "lower",
+    ("ew_lambda_min_floor", "lambda_min", ">=",
      "smallest eigenvalue never drops below -1/2"),
-    ("ew_lambda1_floor", "lambda1", "lower",
+    ("ew_lambda1_floor", "lambda1", ">=",
      "largest eigenvalue stays above 1/{d1}"),
-    ("ew_neg_count_cap", "neg_count", "upper",
+    ("ew_neg_count_cap", "neg_count", "<=",
      "never more than {bound} negative eigenvalues"),
-    ("ew_qubit_pair_sum", "pair_sum", "lower",
+    ("ew_qubit_pair_sum", "pair_sum", ">=",
      "second-largest plus smallest eigenvalue is non-negative"),
-    ("ew_qubit_tail3", "tail_from_3", "lower",
+    ("ew_qubit_tail3", "tail_from_3", ">=",
      "eigenvalue tail from the third entry respects its floor"),
-    ("ew_qubit_tailk", "tail_from_4_on", "lower",
+    ("ew_qubit_tailk", "tail_from_4_on", ">=",
      "every tail from the fourth entry on stays above -1/2"),
-    ("ew_negativity_cap", "negativity", "upper",
+    ("ew_negativity_cap", "negativity", "<=",
      "negativity never exceeds {bound}"),
 )
 
@@ -214,12 +204,12 @@ def _suite_ew_spectral_ranges(m, n, samples, seed):
     reports, skipped = _sampled_reports(m, n, samples, seed)
     table = {row[0]: row for row in bound_table(m, n)}
     checks = []
-    for claim, name, side, stmt in _EW_RANGES:
+    for claim, name, rel, stmt in _EW_RANGES:
         if name not in table:
             continue
         _, lower, upper, _ = table[name]
         bound, other, pick = (
-            (lower, upper, min) if side == "lower" else (upper, lower, max)
+            (lower, upper, min) if rel == ">=" else (upper, lower, max)
         )
         # an empty stream reads as the row's other bound, or 0
         worst = pick(
@@ -227,68 +217,26 @@ def _suite_ew_spectral_ranges(m, n, samples, seed):
         )
         # integer bounds cap counts, which are exact
         tol = 0.0 if isinstance(bound, int) else BOUND_TOL
-        passed = worst >= bound - tol if side == "lower" else worst <= bound + tol
         note = "" if checks else f"{len(reports)} witnesses, {skipped} skipped"
-        checks.append(
-            Check(claim, stmt.format(d1=m * n - 1, bound=bound), passed, worst,
-                  bound, tol, note)
-        )
+        stmt = stmt.format(d1=m * n - 1, bound=bound)
+        checks.append(_check(claim, stmt, worst, rel, bound, tol, note))
     return checks
 
 
 def _suite_dew_attainability(m, n, samples, seed):
-    checks = []
-
-    def add(claim, stmt, measured, expected, tol, note=""):
-        checks.append(
-            Check(
-                claim,
-                stmt,
-                abs(measured - expected) <= tol,
-                float(measured),
-                float(expected),
-                tol,
-                note,
-            )
-        )
-
     r2 = spectral_report(pure_pt_witness(pure_from_schmidt([2**-0.5] * 2, m, n)))
-    add("attain_lambda_min", "transposed Bell projector hits the -1/2 floor",
-        r2.lambda_min, -0.5, 1e-10)
-    add("attain_fro_sup", "transposed Bell projector hits unit Frobenius norm",
-        r2.fro_sq, 1.0, 1e-10)
-    add("attain_negativity_2", "transposed Bell projector has negativity 1/2",
-        r2.negativity, 0.5, 1e-10)
-
     mix = 0.5 * (
         pt_mat(max_entangled(2, 4, 1).projector().mat, 2, 4)
         + pt_mat(max_entangled(2, 4, 2).projector().mat, 2, 4)
     )
     n_mix = spectral_report(BipartiteOperator(2, 4, mix)).negativity
-    add("attain_negativity_mix",
-        "even mix of disjoint maximally entangled transposes keeps negativity 1/2",
-        n_mix, 0.5, 1e-10)
-
     r8 = spectral_report(
         pure_pt_witness(pure_from_schmidt([0.92388, 0.382683], 2, 2))
     )
-    add("attain_tail3",
-        "extremal two-coefficient witness hits the third-tail floor",
-        float(r8.lambdas[2:].sum()), -1.0 / (2.0 + 2.0 * SQRT2), 1e-6)
-
     r9 = spectral_report(
         pure_pt_witness(pure_from_schmidt([SQRT2 / 2.0, 0.5, 0.5], 3, 3))
     )
-    add("attain_pair_sum",
-        "sqrt2/2,1/2,1/2 witness hits the two-smallest floor",
-        float(r9.lambdas[-2:].sum()), -SQRT2 / 2.0, 1e-9)
-
     r3 = spectral_report(pure_pt_witness(max_entangled(3, 3)))
-    add("attain_triple_sum",
-        "transposed qutrit Bell witness hits the three-smallest floor",
-        float(r3.lambdas[-3:].sum()), -1.0, 1e-10)
-    add("attain_negativity_3", "transposed qutrit Bell witness has negativity 1",
-        r3.negativity, 1.0, 1e-10)
 
     # sweep of the two-parameter family: closed-form spectrum and coverage
     worst = 0.0
@@ -298,50 +246,62 @@ def _suite_dew_attainability(m, n, samples, seed):
             np.array([(1 - b) / 8.0] * 5 + [(1 - b) / 8.0 + b / 2.0] * 3 + [-b / 2.0])
         )[::-1]
         worst = max(worst, float(np.abs(rep.lambdas - expected).max()))
-    add("family_spectrum_formula",
-        "two-parameter family spectrum matches its closed form",
-        worst, 0.0, 1e-10)
-
-    worst_min = 0.0
-    worst_top = 0.0
+    worst_min = worst_top = 0.0
     for b in np.linspace(0.05, 1.0, 20):
         rep = spectral_report(w_family(FamilyParams(1.0 - b, b, 0.0, 0.0, 3, 3)))
         worst_min = max(worst_min, abs(rep.lambda_min + b / 2.0))
         rep2 = spectral_report(w_family(FamilyParams(0.0, b, 1.0 - b, 0.0, 3, 3)))
         worst_top = max(worst_top, abs(rep2.lambda1 - (1.0 - b / 2.0)))
-    add("family_lambda_min_sweep",
-        "family smallest eigenvalue sweeps -b/2 across (0, 1]",
-        worst_min, 0.0, 1e-10)
-    add("family_lambda1_sweep",
-        "family largest eigenvalue sweeps 1 - b/2 across (0, 1]",
-        worst_top, 0.0, 1e-10)
-    return checks
+
+    # (claim, statement, measured, expected, tolerance)
+    rows = [
+        ("attain_lambda_min", "transposed Bell projector hits the -1/2 floor",
+         r2.lambda_min, -0.5, 1e-10),
+        ("attain_fro_sup", "transposed Bell projector hits unit Frobenius norm",
+         r2.fro_sq, 1.0, 1e-10),
+        ("attain_negativity_2", "transposed Bell projector has negativity 1/2",
+         r2.negativity, 0.5, 1e-10),
+        ("attain_negativity_mix",
+         "even mix of disjoint maximally entangled transposes keeps negativity 1/2",
+         n_mix, 0.5, 1e-10),
+        ("attain_tail3",
+         "extremal two-coefficient witness hits the third-tail floor",
+         float(r8.lambdas[2:].sum()), -1.0 / (2.0 + 2.0 * SQRT2), 1e-6),
+        ("attain_pair_sum",
+         "sqrt2/2,1/2,1/2 witness hits the two-smallest floor",
+         float(r9.lambdas[-2:].sum()), -SQRT2 / 2.0, 1e-9),
+        ("attain_triple_sum",
+         "transposed qutrit Bell witness hits the three-smallest floor",
+         float(r3.lambdas[-3:].sum()), -1.0, 1e-10),
+        ("attain_negativity_3", "transposed qutrit Bell witness has negativity 1",
+         r3.negativity, 1.0, 1e-10),
+        ("family_spectrum_formula",
+         "two-parameter family spectrum matches its closed form",
+         worst, 0.0, 1e-10),
+        ("family_lambda_min_sweep",
+         "family smallest eigenvalue sweeps -b/2 across (0, 1]",
+         worst_min, 0.0, 1e-10),
+        ("family_lambda1_sweep",
+         "family largest eigenvalue sweeps 1 - b/2 across (0, 1]",
+         worst_top, 0.0, 1e-10),
+    ]
+    return [
+        _check(claim, stmt, measured, "==", expected, tol)
+        for claim, stmt, measured, expected, tol in rows
+    ]
 
 
 def _suite_tail_sum_bounds(m, n, samples, seed):
     reports, skipped = _sampled_reports(m, n, samples, seed)
     pair = min((float(r.lambdas[-2:].sum()) for r in reports), default=0.0)
     triple = min((float(r.lambdas[-3:].sum()) for r in reports), default=0.0)
-    checks = [
-        Check(
-            "tail_pair_sum_floor",
-            "two smallest eigenvalues sum above -sqrt(2)/2",
-            pair >= -SQRT2 / 2.0 - 1e-9,
-            pair,
-            -SQRT2 / 2.0,
-            1e-9,
-            f"{len(reports)} witnesses, {skipped} skipped",
-        ),
-        Check(
-            "tail_triple_sum_floor",
-            "three smallest eigenvalues sum above -1",
-            triple >= -1.0 - 1e-9,
-            triple,
-            -1.0,
-            1e-9,
-        ),
+    return [
+        _check("tail_pair_sum_floor", "two smallest eigenvalues sum above -sqrt(2)/2",
+               pair, ">=", -SQRT2 / 2.0, 1e-9,
+               f"{len(reports)} witnesses, {skipped} skipped"),
+        _check("tail_triple_sum_floor", "three smallest eigenvalues sum above -1",
+               triple, ">=", -1.0, 1e-9),
     ]
-    return checks
 
 
 def _suite_absolute_ppt(m, n, samples, seed):
@@ -358,31 +318,20 @@ def _suite_absolute_ppt(m, n, samples, seed):
 
         worst = min(trial(i) for i in range(samples))
         checks.append(
-            Check(
-                f"ap_{name}_unitary_orbit",
-                f"{name} stays PPT under seeded global unitaries",
-                worst >= -1e-9,
-                worst,
-                0.0,
-                1e-9,
-                f"{samples} unitaries",
-            )
+            _check(f"ap_{name}_unitary_orbit",
+                   f"{name} stays PPT under seeded global unitaries",
+                   worst, ">=", 0.0, 1e-9, f"{samples} unitaries")
         )
     rho1_raw = canonical_state("rho1", m=3, n=3, normalized=False)
-    vals_rho1 = eig_hermitian(rho1_raw.mat).values
-    vals_pt = np.sort(
-        states.pt_spectrum_pure(max_entangled(3, 3))
-    )[::-1]
-    bound = inner_product_lower_bound(vals_rho1, vals_pt)
-    expected = (3.0 - 2.0 * SQRT2) / 3.0
+    bound = inner_product_lower_bound(
+        eig_hermitian(rho1_raw.mat).values,
+        states.pt_spectrum_pure(max_entangled(3, 3)),
+    )
     checks.append(
-        Check(
+        _check(
             "ap_pairing_bound",
             "pairing bound of the diagonal reference against the qutrit Bell transpose",
-            abs(bound - expected) <= 1e-10,
-            bound,
-            expected,
-            1e-10,
+            bound, "==", (3.0 - 2.0 * SQRT2) / 3.0, 1e-10,
         )
     )
     return checks
@@ -405,71 +354,39 @@ def _suite_ndew_constructions(m, n, samples, seed):
         ("rho_a", lambda v: canonical_state("rho_a", a=v), (0.9, 0.99, 0.999)),
     ):
         floors = [_kernel_pt_floor(ctor(v)) for v in values]
-        strictly_down = all(x > y for x, y in zip(floors, floors[1:]))
-        checks.append(
-            Check(
-                f"kernel_floor_monotone_{name}",
-                f"{name} kernel-projector transpose floor strictly decreases",
-                strictly_down,
-                floors[-1],
-                floors[0],
-                0.0,
-                note="values " + ", ".join(f"{x:.6f}" for x in floors),
-            )
-        )
-        checks.append(
-            Check(
-                f"kernel_floor_bracket_{name}",
-                f"{name} floor at the tightest parameter, distance to -1/2",
-                abs(floors[-1] + 0.5) <= 0.05,
-                floors[-1],
-                -0.5,
-                0.05,
-                note="recorded only",
-                gating=False,
-            )
-        )
+        checks += [
+            Check(f"kernel_floor_monotone_{name}",
+                  f"{name} kernel-projector transpose floor strictly decreases",
+                  all(x > y for x, y in zip(floors, floors[1:])),
+                  floors[-1], floors[0], 0.0,
+                  "values " + ", ".join(f"{x:.6f}" for x in floors)),
+            # recorded only: a bracket, not a claim
+            Check(f"kernel_floor_bracket_{name}",
+                  f"{name} floor at the tightest parameter, distance to -1/2",
+                  abs(floors[-1] + 0.5) <= 0.05, floors[-1], -0.5, 0.05,
+                  "recorded only", gating=False),
+        ]
 
     gamma = canonical_state("gamma")
-    checks.append(
-        Check(
-            "gamma_trace_one",
-            "printed entries of the two-qutrit state sum to unit trace",
-            gamma.trace() == 1.0,
-            gamma.trace(),
-            1.0,
-            0.0,
-        )
-    )
     floor = float(eig_hermitian(pt_mat(gamma.mat, 3, 3)).values[-1])
-    checks.append(
-        Check(
-            "gamma_ppt",
-            "two-qutrit reference state has positive partial transpose",
-            floor >= -1e-10,
-            floor,
-            0.0,
-            1e-10,
-        )
-    )
+    checks += [
+        _check("gamma_trace_one",
+               "printed entries of the two-qutrit state sum to unit trace",
+               gamma.trace(), "==", 1.0, 0.0),
+        _check("gamma_ppt",
+               "two-qutrit reference state has positive partial transpose",
+               floor, ">=", 0.0, 1e-10),
+    ]
     try:
-        wg = ndew_from_edge(gamma, NdewParams(), restarts=64, seed=seed)
-        expect = wg.provenance["expectation"]
-        checks.append(
-            Check(
-                "gamma_detected",
-                "kernel witness certifies the two-qutrit reference state",
-                expect < -1e-9,
-                expect,
-                0.0,
-                1e-9,
-            )
-        )
-    except Exception as exc:  # record, never abort the suite
-        checks.append(
-            Check("gamma_detected", "kernel witness certifies the state",
-                  False, 0.0, 0.0, 1e-9, note=repr(exc))
-        )
+        wg = ndew_from_edge(gamma, NdewParams(), seed=seed)
+        expect, note = wg.provenance["expectation"], ""
+    except EwsError as exc:  # record, never abort the suite
+        expect, note = 0.0, repr(exc)
+    checks.append(
+        _check("gamma_detected",
+               "kernel witness certifies the two-qutrit reference state",
+               expect, "<", 0.0, 1e-9, note)
+    )
 
     gp = canonical_state("gamma_prime")
     psi3 = max_entangled(3, 3)
@@ -477,70 +394,53 @@ def _suite_ndew_constructions(m, n, samples, seed):
         np.trace(pt_mat(psi3.projector().mat, 3, 3) @ gp.mat).real
     )
     checks.append(
-        Check(
-            "gamma_prime_orthogonal",
-            "conjugated state is orthogonal to the transposed qutrit Bell projector",
-            abs(overlap) <= 1e-10,
-            overlap,
-            0.0,
-            1e-10,
-        )
+        _check("gamma_prime_orthogonal",
+               "conjugated state is orthogonal to the transposed qutrit Bell projector",
+               overlap, "==", 0.0, 1e-10)
     )
     try:
-        wgp = ndew_from_edge(gp, NdewParams(), restarts=64, seed=seed)
-        negs = []
-        for t in (1.0, 10.0, 100.0):
-            boosted = boost_witness(wgp, psi3, t=t)
-            negs.append(spectral_report(boosted).negativity)
-        monotone = all(x < y for x, y in zip(negs, negs[1:]))
-        checks.append(
-            Check(
-                "boost_negativity_convergence",
-                "boosting drives negativity up toward the qutrit cap 1",
-                monotone and abs(negs[-1] - 1.0) <= 0.05,
-                negs[-1],
-                1.0,
-                0.05,
-                note="negativity at t=1,10,100: "
-                + ", ".join(f"{x:.4f}" for x in negs),
-            )
+        wgp = ndew_from_edge(gp, NdewParams(), seed=seed)
+        negs = [
+            spectral_report(boost_witness(wgp, psi3, t=t)).negativity
+            for t in (1.0, 10.0, 100.0)
+        ]
+        passed = all(x < y for x, y in zip(negs, negs[1:])) and (
+            abs(negs[-1] - 1.0) <= 0.05
         )
-    except Exception as exc:
-        checks.append(
-            Check("boost_negativity_convergence", "boost convergence",
-                  False, 0.0, 1.0, 0.05, note=repr(exc))
-        )
+        measured = negs[-1]
+        note = "negativity at t=1,10,100: " + ", ".join(f"{x:.4f}" for x in negs)
+    except EwsError as exc:
+        passed, measured, note = False, 0.0, repr(exc)
+    checks.append(
+        Check("boost_negativity_convergence",
+              "boosting drives negativity up toward the qutrit cap 1",
+              passed, measured, 1.0, 0.05, note)
+    )
     return checks
-
-
-def _embedded_pure(coeffs, m, n) -> BipartiteOperator:
-    return pure_from_schmidt(coeffs, m, n).projector()
 
 
 def _suite_npt_detection(m, n, samples, seed):
     witness._require_detectable(m, n)
     checks = []
     fixed = [
-        ("detect_bell2_3x3", _embedded_pure([2**-0.5] * 2, 3, 3),
+        ("detect_bell2_3x3", pure_from_schmidt([2**-0.5] * 2, 3, 3),
          "qubit Bell state embedded in two qutrits"),
-        ("detect_bell3_3x3", _embedded_pure([3**-0.5] * 3, 3, 3),
+        ("detect_bell3_3x3", pure_from_schmidt([3**-0.5] * 3, 3, 3),
          "qutrit Bell state"),
-        ("detect_bell2_2x4", _embedded_pure([2**-0.5] * 2, 2, 4),
+        ("detect_bell2_2x4", pure_from_schmidt([2**-0.5] * 2, 2, 4),
          "qubit Bell state embedded in a 2x4 system"),
     ]
-    for claim, rho, stmt in fixed:
+    for claim, psi, stmt in fixed:
         try:
-            cert = detect_npt(rho, restarts=64, seed=seed)
-            checks.append(
-                Check(claim, f"{stmt} is certified with negative expectation",
-                      cert.expectation < -1e-9, cert.expectation, 0.0, 1e-9,
-                      note=f"base {cert.pipeline['base']}, t={cert.pipeline['t']:.2f}")
-            )
-        except Exception as exc:
-            checks.append(
-                Check(claim, f"{stmt} is certified", False, 0.0, 0.0, 1e-9,
-                      note=repr(exc))
-            )
+            cert = detect_npt(psi.projector(), seed=seed)
+            expect = cert.expectation
+            note = f"base {cert.pipeline['base']}, t={cert.pipeline['t']:.2f}"
+        except EwsError as exc:
+            expect, note = 0.0, repr(exc)
+        checks.append(
+            _check(claim, f"{stmt} is certified with negative expectation",
+                   expect, "<", 0.0, 1e-9, note)
+        )
 
     failures = 0
     n_npt = 0
@@ -554,73 +454,47 @@ def _suite_npt_detection(m, n, samples, seed):
             continue
         n_npt += 1
         try:
-            cert = detect_npt(rho, restarts=64, seed=_sample_seed(seed, i) ^ 0xA5)
+            cert = detect_npt(rho, seed=_sample_seed(seed, i) ^ 0xA5)
             worst = max(worst, cert.expectation)
             if cert.expectation >= -1e-9:
                 failures += 1
-        except Exception as exc:
+        except EwsError as exc:
             failures += 1
             if len(notes) < 3:
                 notes.append(repr(exc))
+    note = f"{n_npt} NPT of {samples} samples; worst expectation {worst:.3e}"
     checks.append(
-        Check(
-            "detect_wishart_battery",
-            f"every sampled NPT state at ({m},{n}) is certified",
-            failures == 0 and n_npt > 0,
-            float(failures),
-            0.0,
-            0.0,
-            note=f"{n_npt} NPT of {samples} samples; worst expectation "
-            f"{worst:.3e}" + ("; " + "; ".join(notes) if notes else ""),
-        )
+        Check("detect_wishart_battery",
+              f"every sampled NPT state at ({m},{n}) is certified",
+              failures == 0 and n_npt > 0, failures, 0.0, 0.0,
+              note + "".join("; " + x for x in notes))
     )
     return checks
 
 
 def _suite_mirror_conditions(m, n, samples, seed):
-    checks = []
     bell = pure_from_schmidt([2**-0.5] * 2, 2, 2)
     remark_mat = (2.0 / 3.0) * pt_mat(bell.projector().mat, 2, 2)
     remark_mat[0, 0] += 1.0 / 3.0
     remark = witness.Witness(
         op=BipartiteOperator(2, 2, remark_mat), class_tag=witness.TAG_DEW
     )
-    res = mirror(remark, restarts=64, seed=seed)
-    checks.append(
-        Check(
-            "mirror_remark_mu",
-            "product-expectation supremum of the remark witness is 2/3",
-            abs(res.mu - 2.0 / 3.0) <= 1e-8,
-            res.mu,
-            2.0 / 3.0,
-            1e-8,
-        )
-    )
+    res = mirror(remark, seed=seed)
     floor = float(eig_hermitian(res.w_m.mat).values[-1])
-    checks.append(
-        Check(
-            "mirror_remark_psd",
-            "remark mirror operator is positive semidefinite",
-            res.verdict == "mirror-PSD" and floor >= -1e-10,
-            floor,
-            0.0,
-            1e-10,
-            note=f"verdict {res.verdict}",
-        )
-    )
+    checks = [
+        _check("mirror_remark_mu",
+               "product-expectation supremum of the remark witness is 2/3",
+               res.mu, "==", 2.0 / 3.0, 1e-8),
+        Check("mirror_remark_psd", "remark mirror operator is positive semidefinite",
+              res.verdict == "mirror-PSD" and floor >= -1e-10, floor, 0.0, 1e-10,
+              f"verdict {res.verdict}"),
+    ]
     for mm in (2, 3):
-        w = pure_pt_witness(max_entangled(mm, mm))
-        res_m = mirror(w, restarts=64, seed=seed)
+        res_m = mirror(pure_pt_witness(max_entangled(mm, mm)), seed=seed)
         checks.append(
-            Check(
-                f"mirror_bell_{mm}_mu",
-                f"transposed Bell witness supremum equals 1/{mm}",
-                abs(res_m.mu - 1.0 / mm) <= 1e-8,
-                res_m.mu,
-                1.0 / mm,
-                1e-8,
-                note=f"verdict {res_m.verdict}",
-            )
+            _check(f"mirror_bell_{mm}_mu",
+                   f"transposed Bell witness supremum equals 1/{mm}",
+                   res_m.mu, "==", 1.0 / mm, 1e-8, f"verdict {res_m.verdict}")
         )
 
     # necessary conditions: whenever a mirror is itself a witness, the source
@@ -631,10 +505,10 @@ def _suite_mirror_conditions(m, n, samples, seed):
         w_family(FamilyParams(0.2, 0.4, 0.2, 0.2, 3, 3)),
         pure_pt_witness(pure_from_schmidt([0.8, 0.6], 2, 2)),
     ]
-    for i in range(min(samples or 6, 6)):
-        battery.append(
-            sample_dew(2, 2, x=0.3, rank_p=2, rank_q=2, seed=_sample_seed(seed, i))
-        )
+    battery += [
+        sample_dew(2, 2, x=0.3, rank_p=2, rank_q=2, seed=_sample_seed(seed, i))
+        for i in range(min(samples or 6, 6))
+    ]
     violations = 0
     n_mirror_ew = 0
     for i, w in enumerate(battery):
@@ -651,15 +525,10 @@ def _suite_mirror_conditions(m, n, samples, seed):
             if rep.negativity >= (w.m - 1) / 2.0 - 1e-9:
                 violations += 1
     checks.append(
-        Check(
-            "mirror_necessary_conditions",
-            "mirror witnesses only arise strictly inside the spectral boundary",
-            violations == 0,
-            float(violations),
-            0.0,
-            0.0,
-            note=f"{n_mirror_ew} mirror witnesses among {len(battery)} sources",
-        )
+        _check("mirror_necessary_conditions",
+               "mirror witnesses only arise strictly inside the spectral boundary",
+               violations, "==", 0.0, 0.0,
+               f"{n_mirror_ew} mirror witnesses among {len(battery)} sources")
     )
     return checks
 

@@ -24,6 +24,7 @@ from .errors import (
     FullRankError,
     IsPPTError,
     NoConvergedRestartError,
+    NoConvergenceError,
     NotPPTError,
     OrthogonalityError,
     ProductStateError,
@@ -239,7 +240,8 @@ def bound_table(m: int, n: int) -> list[tuple]:
         ("fro_sq", 1.0 / (d - 1), 1.0, "upper"),
         ("neg_count", None, (m - 1) * (n - 1), None),
     ]
-    if m == 2:
+    # a witness on C^m (x) C^2 has the spectrum of its factor swap on C^2 (x) C^m
+    if min(m, n) == 2:
         rows += [
             ("pair_sum", 0.0, None, None),
             ("tail_from_3", -1.0 / (2.0 + 2.0 * math.sqrt(2.0)), None, None),
@@ -275,9 +277,7 @@ def spectral_report(w) -> SpectrumReport:
     m, n = op.m, op.n
     states._require_dims(m, n)
     lam = eig_hermitian(op.mat).values
-    scale = max(1.0, fro_norm(op.mat))
-    neg_cut = -linalg.NEG_EIG_TOL * scale
-    neg = lam[lam < neg_cut]
+    neg = lam[lam < linalg.negative_cut(op.mat)]
     report = SpectrumReport(
         m=m,
         n=n,
@@ -315,7 +315,9 @@ class MirrorResult:
     opt: blockpos.OptResult
 
 
-def mirror(w: Witness, restarts: int = 64, seed: int = 0) -> MirrorResult:
+def mirror(
+    w: Witness, restarts: int = blockpos.DEFAULT_RESTARTS, seed: int = 0
+) -> MirrorResult:
     """Mirror operator mu I - W with mu the largest product-vector
     expectation of W.  The mirror is itself a witness only when the top
     eigenvalue of W exceeds mu and the mirror stays block-positive."""
@@ -327,9 +329,8 @@ def mirror(w: Witness, restarts: int = 64, seed: int = 0) -> MirrorResult:
     mu = opt.value
     d = w.op.dim
     w_m = BipartiteOperator(w.m, w.n, mu * np.eye(d, dtype=complex) - w.op.mat)
-    lam = eig_hermitian(w_m.mat).values
     lam1_w = eig_hermitian(w.op.mat).values[0]
-    if lam[-1] >= -1e-10:
+    if linalg.is_psd(w_m.mat):
         verdict = "mirror-PSD"
     elif lam1_w > mu + 1e-9:
         check = blockpos.is_block_positive(w_m, restarts=restarts, seed=seed)
@@ -362,7 +363,7 @@ def _kernel_projector(mat: np.ndarray) -> tuple[np.ndarray, int]:
 def ndew_from_edge(
     sigma: BipartiteOperator,
     params: NdewParams | None = None,
-    restarts: int = 64,
+    restarts: int = blockpos.DEFAULT_RESTARTS,
     seed: int = 0,
     proj_p: np.ndarray | None = None,
     proj_q: np.ndarray | None = None,
@@ -495,7 +496,9 @@ def local_filter_to_max_entangled(psi: PureState) -> LocalFilter:
     target = kron(a, b) @ _psi_d_vector(m, n, d)
     residual = float(np.linalg.norm(target - psi.to_vector()))
     if residual > 1e-9:
-        raise RuntimeError(f"filter construction failed, residual {residual:.3e}")
+        raise NoConvergenceError(
+            f"filter construction failed, residual {residual:.3e}"
+        )
     return LocalFilter(a=a, b=b, d=d)
 
 
@@ -556,7 +559,7 @@ def _require_detectable(m: int, n: int) -> None:
 
 
 def detect_npt(
-    rho: BipartiteOperator, restarts: int = 64, seed: int = 0
+    rho: BipartiteOperator, restarts: int = blockpos.DEFAULT_RESTARTS, seed: int = 0
 ) -> DetectionCertificate:
     """Certify a state with non-positive partial transpose against a
     nondecomposable witness.

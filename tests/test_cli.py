@@ -94,6 +94,27 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"entries": list(range(1, 17))},
+        {"entries": 5},
+        {"entries": [["a", "b"]] * 16},
+        {"entries": [None] * 16},
+        {"entries": [[True, 0.0]] * 16},
+        {"m": 2.7},
+        {"m": "2"},
+    ],
+)
+def test_malformed_matrix_json_exits_2(tmp_path, capsys, change):
+    path = tmp_path / "bad.json"
+    obj = {"m": 2, "n": 2, "entries": [[0.25, 0.0]] * 16}
+    path.write_text(json.dumps({**obj, **change}))
+    code, out, err = run(["report", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_nonfinite_input_exits_2(tmp_path, capsys):
     path = tmp_path / "w.json"
     run(

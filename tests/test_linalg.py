@@ -5,6 +5,7 @@ import pytest
 
 from ews.errors import BadParamError, LengthMismatchError, NotHermitianError
 from ews.linalg import (
+    NEG_EIG_TOL,
     BipartiteOperator,
     eig_hermitian,
     embed_operator,
@@ -15,6 +16,8 @@ from ews.linalg import (
     negativity,
     operator_from_json,
     operator_to_json,
+    is_psd,
+    negative_cut,
     partial_transpose,
     pt_mat,
     svd,
@@ -313,14 +316,41 @@ class TestMatrixJson:
         obj["entries"][1] = [0.5, 0.0]  # breaks conjugate symmetry
         with pytest.raises(NotHermitianError):
             operator_from_json(obj)
-        fixed = operator_from_json(obj, allow_nonhermitian=True)
-        assert abs(fixed.mat[0, 1] - 0.25) < 1e-15
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             operator_from_json({"m": 2, "n": 2, "entries": [[1.0, 0.0]]})
         with pytest.raises(ValueError):
             operator_from_json({"m": 2})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"entries": list(range(16))},
+            {"entries": 5},
+            {"entries": [["a", "b"]] * 16},
+            {"entries": [None] * 16},
+            {"entries": [[1.0, None]] * 16},
+            {"entries": [[1.0]] * 16},
+            {"entries": [[1.0, 0.0, 0.0]] * 16},
+            {"entries": [[True, 0.0]] * 16},
+            {"entries": [[1.0, False]] * 16},
+            {"entries": [[10**400, 0.0]] * 16},
+            {"m": 2.7},
+            {"m": "2"},
+            {"m": True},
+            {"n": None},
+            {"m": -1, "n": -4},
+        ],
+    )
+    def test_rejects_entries_and_dims_that_are_not_json_numbers(self, change):
+        obj = operator_to_json(BipartiteOperator(2, 2, np.eye(4, dtype=complex)))
+        with pytest.raises(BadParamError):
+            operator_from_json({**obj, **change})
+
+    def test_integer_entries_read_as_numbers(self):
+        obj = {"m": 2, "n": 2, "entries": [[int(i % 5 == 0), 0] for i in range(16)]}
+        assert np.array_equal(operator_from_json(obj).mat, np.eye(4))
 
 
 def test_embed_operator():
@@ -338,3 +368,12 @@ def test_bipartite_operator_rejects_non_positive_sizes(m, n):
     d = max(m * n, 0)
     with pytest.raises(BadParamError):
         BipartiteOperator(m, n, np.eye(d, dtype=complex) / max(d, 1))
+
+
+def test_psd_rule_scales_its_cut_with_the_norm():
+    small = np.diag([1.0, -0.5e-10]).astype(complex)
+    assert is_psd(small) and not is_psd(np.diag([1.0, -2e-10]).astype(complex))
+    big = 100.0 * np.eye(4, dtype=complex)
+    big[3, 3] = -1e-9
+    assert negative_cut(big) == -NEG_EIG_TOL * fro_norm(big)
+    assert is_psd(big) and negativity(big) == 0.0

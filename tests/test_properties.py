@@ -49,7 +49,7 @@ def test_partial_transpose_is_an_involution(m, n, seed):
 
 
 @given(
-    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (3, 2), (4, 2)]),
     x=st.floats(min_value=0.0, max_value=0.99),
     rank_q=st.integers(min_value=1, max_value=4),
     seed=seeds,

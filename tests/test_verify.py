@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
-from ews.errors import BadParamError, UnknownSuiteError
+from ews import verify
+from ews.errors import BadParamError, NoConvergenceError, UnknownSuiteError
 from ews.verify import (
     Check,
     SuiteReport,
+    _check,
     emit_report,
     report_from_json,
     run_suite,
@@ -33,6 +36,14 @@ def test_dew_bounds_small_run():
 def test_spectral_ranges_qubit_chain():
     report = run_suite("ew_spectral_ranges", m=2, n=3, samples=300, seed=6)
     assert report.passed
+    claim_ids = {c.claim_id for c in report.checks}
+    assert {"ew_qubit_pair_sum", "ew_qubit_tail3", "ew_qubit_tailk"} <= claim_ids
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
+def test_spectral_ranges_qubit_chain_on_the_second_factor(m, n):
+    report = run_suite("ew_spectral_ranges", m=m, n=n, samples=300, seed=6)
+    assert report.passed, [c for c in report.checks if not c.passed]
     claim_ids = {c.claim_id for c in report.checks}
     assert {"ew_qubit_pair_sum", "ew_qubit_tail3", "ew_qubit_tailk"} <= claim_ids
 
@@ -105,3 +116,49 @@ def test_run_suite_resolves_default_sample_counts():
     assert run_suite("dew_attainability", m=2, n=2).samples == 0
     assert run_suite("dew_attainability", m=2, n=2, samples=5).samples == 5
     assert run_suite("absolute_ppt", m=2, n=2, seed=3).samples == 1_000
+
+
+# (relation, measured values on and just past the tolerance boundary around
+# expected 0 with tolerance 0.5, and whether each passes)
+_ABOVE = np.nextafter(0.5, 1.0)
+_BOUNDARIES = [
+    ("==", [0.5, -0.5, _ABOVE, -_ABOVE], [True, True, False, False]),
+    (">=", [-0.5, -_ABOVE], [True, False]),
+    ("<=", [0.5, _ABOVE], [True, False]),
+    (">", [0.5, _ABOVE], [False, True]),
+    ("<", [-0.5, -_ABOVE], [False, True]),
+]
+
+
+@pytest.mark.parametrize("rel,values,passes", _BOUNDARIES)
+def test_check_relations_at_the_tolerance_boundary(rel, values, passes):
+    for value, ok in zip(values, passes):
+        c = _check("c", "s", value, rel, 0.0, 0.5, "n")
+        assert c == Check("c", "s", ok, value, 0.0, 0.5, "n")
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_failed_detection_keeps_the_check_statement(monkeypatch):
+    passing = run_suite("npt_detection", m=3, n=3, samples=1, seed=2)
+    monkeypatch.setattr(verify, "detect_npt", _raise(NoConvergenceError("x")))
+    failing = run_suite("npt_detection", m=3, n=3, samples=1, seed=2)
+    assert not failing.passed
+    for good, bad in zip(passing.checks, failing.checks):
+        assert (bad.claim_id, bad.statement, bad.expected, bad.tolerance) == (
+            good.claim_id, good.statement, good.expected, good.tolerance
+        )
+        if bad.claim_id.startswith("detect_bell"):
+            assert not bad.passed and bad.measured == 0.0
+            assert bad.note == "NoConvergenceError('x')"
+
+
+def test_programming_errors_in_a_suite_propagate(monkeypatch):
+    monkeypatch.setattr(verify, "ndew_from_edge", _raise(TypeError("bug")))
+    with pytest.raises(TypeError):
+        run_suite("ndew_constructions", m=3, n=3, seed=1)

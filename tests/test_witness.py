@@ -7,6 +7,7 @@ from ews.errors import (
     EpsilonVanishesError,
     FullRankError,
     IsPPTError,
+    NoConvergenceError,
     NotPPTError,
     OrthogonalityError,
     ProductStateError,
@@ -314,6 +315,11 @@ class TestLocalFilter:
             assert np.linalg.norm(kron(f.a, f.b) @ bell - v) < 1e-9
             # invertibility with a finite condition number
             assert np.linalg.cond(f.a) < 1e8
+
+    def test_missed_target_raises_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(witness, "_psi_d_vector", lambda m, n, d: np.zeros(m * n))
+        with pytest.raises(NoConvergenceError):
+            local_filter_to_max_entangled(max_entangled(2, 2))
             assert np.linalg.cond(f.b) < 1e8
 
 
