@@ -119,7 +119,7 @@ class BipartiteOperator:
         self.mat = np.asarray(self.mat, dtype=complex)
         d = self.m * self.n
         if self.mat.shape != (d, d):
-            raise ValueError(
+            raise BadParamError(
                 f"matrix of shape {self.mat.shape} does not match dims "
                 f"({self.m}, {self.n})"
             )
@@ -135,7 +135,7 @@ class BipartiteOperator:
     def normalized(self) -> "BipartiteOperator":
         tr = self.trace()
         if abs(tr) < 1e-14:
-            raise ValueError("cannot normalize a traceless operator")
+            raise BadParamError("cannot normalize a traceless operator")
         return BipartiteOperator(self.m, self.n, self.mat / tr)
 
 
@@ -158,7 +158,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def embed_operator(op: BipartiteOperator, m: int, n: int) -> BipartiteOperator:
     """Zero-pad each local factor of `op` up to dimensions (m, n)."""
     if m < op.m or n < op.n:
-        raise ValueError("target dimensions must not shrink the operator")
+        raise BadParamError("target dimensions must not shrink the operator")
     big = np.zeros((m * n, m * n), dtype=complex)
     src = op.mat.reshape(op.m, op.n, op.m, op.n)
     dst = big.reshape(m, n, m, n)

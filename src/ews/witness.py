@@ -28,6 +28,7 @@ from .errors import (
     NotPPTError,
     OrthogonalityError,
     ProductStateError,
+    TraceViolationError,
 )
 from .linalg import (
     BipartiteOperator,
@@ -67,7 +68,7 @@ class Witness:
 
     def __post_init__(self):
         if self.normalized and abs(self.op.trace() - 1.0) > 1e-9:
-            raise ValueError(f"witness trace {self.op.trace()} != 1")
+            raise TraceViolationError(f"witness trace {self.op.trace()} != 1")
 
     @property
     def m(self) -> int:

@@ -208,21 +208,25 @@ def test_criterion_10_non_attainment_evidence(dew_bound_reports):
           f"max lambda1 {sup_row.measured:.4f}, min fro {inf_row.measured:.4f}")
 
 
+# small per-suite sample counts (None: the suite draws no samples)
+CRITERION_11_SAMPLES = {
+    "dew_bounds": 80,
+    "ew_spectral_ranges": 80,
+    "dew_attainability": None,
+    "tail_sum_bounds": 80,
+    "absolute_ppt": 20,
+    "ndew_constructions": None,
+    "npt_detection": 2,
+    "mirror_conditions": 1,
+}
+
+
 def test_criterion_11_suite_determinism():
-    small = {
-        "dew_bounds": 80,
-        "ew_spectral_ranges": 80,
-        "dew_attainability": None,
-        "tail_sum_bounds": 80,
-        "absolute_ppt": 20,
-        "ndew_constructions": None,
-        "npt_detection": 2,
-        "mirror_conditions": 1,
-    }
     ok = True
     for name in SUITE_NAMES:
-        a = run_suite(name, m=3, n=3, samples=small[name], seed=13)
-        b = run_suite(name, m=3, n=3, samples=small[name], seed=13)
+        samples = CRITERION_11_SAMPLES[name]
+        a = run_suite(name, m=3, n=3, samples=samples, seed=13)
+        b = run_suite(name, m=3, n=3, samples=samples, seed=13)
         same = emit_report(a) == emit_report(b) and emit_report(
             a, "csv"
         ) == emit_report(b, "csv")

@@ -14,19 +14,9 @@ import pytest
 
 from ews.verify import SUITE_NAMES, run_suite
 
-FIXTURE = pathlib.Path(__file__).with_name("check_definitions.json")
+from test_acceptance import CRITERION_11_SAMPLES as SAMPLES
 
-# the sample counts of the suite-determinism acceptance criterion
-SAMPLES = {
-    "dew_bounds": 80,
-    "ew_spectral_ranges": 80,
-    "dew_attainability": None,
-    "tail_sum_bounds": 80,
-    "absolute_ppt": 20,
-    "ndew_constructions": None,
-    "npt_detection": 2,
-    "mirror_conditions": 1,
-}
+FIXTURE = pathlib.Path(__file__).with_name("check_definitions.json")
 SIZES = ((3, 3), (2, 4))
 
 

@@ -363,6 +363,16 @@ def test_embed_operator():
     assert np.allclose(big.mat[np.ix_(idx, idx)], op.mat)
 
 
+def test_malformed_operators_raise_a_typed_error():
+    op = BipartiteOperator(2, 2, np.eye(4) / 4)
+    with pytest.raises(BadParamError):
+        BipartiteOperator(2, 3, np.eye(4))
+    with pytest.raises(BadParamError):
+        BipartiteOperator(2, 2, np.diag([1.0, -1.0, 0.0, 0.0])).normalized()
+    with pytest.raises(BadParamError):
+        embed_operator(op, 3, 1)
+
+
 @pytest.mark.parametrize("m, n", [(-2, -2), (0, 3), (3, 0)])
 def test_bipartite_operator_rejects_non_positive_sizes(m, n):
     d = max(m * n, 0)

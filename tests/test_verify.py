@@ -3,6 +3,7 @@ import pytest
 
 from ews import verify
 from ews.errors import BadParamError, NoConvergenceError, UnknownSuiteError
+from ews.linalg import BipartiteOperator
 from ews.verify import (
     Check,
     SuiteReport,
@@ -156,6 +157,17 @@ def test_failed_detection_keeps_the_check_statement(monkeypatch):
         if bad.claim_id.startswith("detect_bell"):
             assert not bad.passed and bad.measured == 0.0
             assert bad.note == "NoConvergenceError('x')"
+
+
+def test_a_malformed_witness_in_a_suite_is_a_failed_check(monkeypatch):
+    def unnormalized_boost(w, psi, t):
+        return verify.witness.Witness(BipartiteOperator(w.m, w.n, 2.0 * w.op.mat))
+
+    monkeypatch.setattr(verify, "boost_witness", unnormalized_boost)
+    report = run_suite("ndew_constructions", m=3, n=3, seed=1)
+    failed = [c for c in report.checks if c.gating and not c.passed]
+    assert [c.claim_id for c in failed] == ["boost_negativity_convergence"]
+    assert failed[0].note.startswith("TraceViolationError(")
 
 
 def test_programming_errors_in_a_suite_propagate(monkeypatch):

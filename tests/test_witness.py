@@ -11,6 +11,7 @@ from ews.errors import (
     NotPPTError,
     OrthogonalityError,
     ProductStateError,
+    TraceViolationError,
 )
 from ews.linalg import (
     BipartiteOperator,
@@ -46,6 +47,11 @@ from ews.witness import (
 )
 
 SQRT2 = np.sqrt(2.0)
+
+
+def test_witness_trace_other_than_one_raises_a_typed_error():
+    with pytest.raises(TraceViolationError):
+        Witness(BipartiteOperator(2, 2, np.eye(4)))
 
 
 class TestFamily:
@@ -315,12 +321,12 @@ class TestLocalFilter:
             assert np.linalg.norm(kron(f.a, f.b) @ bell - v) < 1e-9
             # invertibility with a finite condition number
             assert np.linalg.cond(f.a) < 1e8
+            assert np.linalg.cond(f.b) < 1e8
 
     def test_missed_target_raises_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(witness, "_psi_d_vector", lambda m, n, d: np.zeros(m * n))
         with pytest.raises(NoConvergenceError):
             local_filter_to_max_entangled(max_entangled(2, 2))
-            assert np.linalg.cond(f.b) < 1e8
 
 
 class TestDetectNpt:
