@@ -254,6 +254,11 @@ def write_operator(path: str, op: BipartiteOperator) -> None:
 
 
 def read_operator(path: str) -> BipartiteOperator:
+    """Operator from a matrix JSON file, or from the matrix under the
+    top-level "witness" key of an object such as `ews ndew` and
+    `ews detect` write."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if isinstance(obj, dict) and isinstance(obj.get("witness"), dict):
+        obj = obj["witness"]
     return operator_from_json(obj)

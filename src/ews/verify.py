@@ -10,6 +10,7 @@ tracked but excluded from serialized bytes and equality.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -90,24 +91,62 @@ def _sample_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
 
 
-def _sampled_reports(m: int, n: int, samples: int, seed: int):
-    """Seeded stream of spectral reports of random decomposable witnesses.
-    Samples without a negative eigenvalue are not witnesses and are
-    returned under the second key."""
-    d = m * n
+# Streams kept per process; the sampled bound suites run back to back on one key.
+_STREAM_CACHE_SIZE = 2
 
-    def one(i):
+
+@dataclass(frozen=True)
+class _Stream:
+    """Read-only arrays over the witnesses of one seeded sample stream:
+    eigenvalues (N, d), non-increasing, and each bound-table row's measured
+    value and verdict (N, rows).  Samples that are not witnesses are counted."""
+
+    rows: tuple[str, ...]
+    lambdas: np.ndarray
+    measured: np.ndarray
+    passed: np.ndarray
+    skipped: int
+
+    @property
+    def summary(self) -> str:
+        return f"{len(self.lambdas)} witnesses, {self.skipped} skipped"
+
+    def column(self, name):
+        return self.measured[:, self.rows.index(name)]
+
+
+def _frozen(values, dtype, width):
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr.reshape(-1, width)
+
+
+@functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
+def _sampled_stream(m: int, n: int, samples: int, seed: int) -> _Stream:
+    """The spectral reports of a seeded stream of random decomposable
+    witnesses, as the sampled bound suites read them."""
+    d = m * n
+    rows = tuple(row[0] for row in bound_table(m, n))
+    lambdas, measured, passed = [], [], []
+    for i in range(samples):
         rng = np.random.default_rng(_sample_seed(seed, i))
         x = float(rng.uniform(0.0, 1.0))
         rank_p = int(rng.integers(1, d + 1))
         rank_q = int(rng.integers(1, d + 1))
         w = sample_dew(m, n, x, rank_p, rank_q, seed=int(rng.integers(0, 2**63)))
-        return spectral_report(w)
+        report = spectral_report(w)
+        if report.is_ew:
+            lambdas.append(report.lambdas)
+            measured.append([b.measured for b in report.bounds])
+            passed.append([b.passed for b in report.bounds])
+    k = len(rows)
+    return _Stream(rows, _frozen(lambdas, float, d), _frozen(measured, float, k),
+                   _frozen(passed, bool, k), samples - len(lambdas))
 
-    reports = [one(i) for i in range(samples)]
-    ews = [r for r in reports if r.is_ew]
-    skipped = len(reports) - len(ews)
-    return ews, skipped
+
+def _extreme(values, pick, default):
+    """pick (np.min or np.max) of `values`, or `default` when there are none."""
+    return float(pick(values)) if len(values) else default
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +175,6 @@ def _check(claim, statement, measured, rel, expected, tol, note=""):
 # ---------------------------------------------------------------------------
 # Suites.
 
-def _row_values(reports, name):
-    """Measured values of one bound-table row across a report stream."""
-    return [b.measured for r in reports for b in r.bounds if b.name == name]
-
-
 # (bound-table row, statement) of each dew_bounds range check.
 _DEW_RANGES = (
     ("lambda1", "largest eigenvalue stays inside (1/{d1}, 1)"),
@@ -152,22 +186,21 @@ _DEW_RANGES = (
 
 
 def _suite_dew_bounds(m, n, samples, seed):
-    reports, skipped = _sampled_reports(m, n, samples, seed)
+    stream = _sampled_stream(m, n, samples, seed)
     table = {row[0]: row for row in bound_table(m, n)}
-    note = f"{len(reports)} witnesses from {samples} samples"
+    n_ew = len(stream.lambdas)
+    note = f"{n_ew} witnesses from {samples} samples"
     checks = []
     for name, stmt in _DEW_RANGES:
         if name not in table:
             continue
-        bad = sum(
-            1 for r in reports for b in r.bounds if b.name == name and not b.passed
-        )
+        bad = int((~stream.passed[:, stream.rows.index(name)]).sum())
         stmt = stmt.format(d1=m * n - 1, upper=table[name][2])
         checks.append(_check(f"dew_{name}_range", stmt, bad, "==", 0.0, 0.0, note))
     l1_sup = table["lambda1"][2]
     _, fro_inf, fro_sup, _ = table["fro_sq"]
-    max_l1 = max(_row_values(reports, "lambda1"), default=0.0)
-    min_fro = min(_row_values(reports, "fro_sq"), default=fro_sup)
+    max_l1 = _extreme(stream.column("lambda1"), np.max, 0.0)
+    min_fro = _extreme(stream.column("fro_sq"), np.min, fro_sup)
     return checks + [
         _check("dew_lambda1_sup_unattained",
                "no sample reaches the largest-eigenvalue supremum 1",
@@ -176,7 +209,7 @@ def _suite_dew_bounds(m, n, samples, seed):
                f"no sample reaches the Frobenius infimum 1/{m * n - 1}",
                min_fro, ">", fro_inf, 1e-6, "sampling evidence"),
         _check("dew_sampler_yield", "sampler produced witnesses to test",
-               len(reports), ">=", 1.0, 0.0, f"{skipped} PSD samples skipped"),
+               n_ew, ">=", 1.0, 0.0, f"{stream.skipped} PSD samples skipped"),
     ]
 
 
@@ -201,23 +234,20 @@ _EW_RANGES = (
 
 
 def _suite_ew_spectral_ranges(m, n, samples, seed):
-    reports, skipped = _sampled_reports(m, n, samples, seed)
+    stream = _sampled_stream(m, n, samples, seed)
     table = {row[0]: row for row in bound_table(m, n)}
     checks = []
     for claim, name, rel, stmt in _EW_RANGES:
         if name not in table:
             continue
         _, lower, upper, _ = table[name]
-        bound, other, pick = (
-            (lower, upper, min) if rel == ">=" else (upper, lower, max)
-        )
+        floor = rel == ">="
+        bound, other, pick = (lower, upper, np.min) if floor else (upper, lower, np.max)
         # an empty stream reads as the row's other bound, or 0
-        worst = pick(
-            _row_values(reports, name), default=0 if other is None else other
-        )
+        worst = _extreme(stream.column(name), pick, 0 if other is None else other)
         # integer bounds cap counts, which are exact
         tol = 0.0 if isinstance(bound, int) else BOUND_TOL
-        note = "" if checks else f"{len(reports)} witnesses, {skipped} skipped"
+        note = "" if checks else stream.summary
         stmt = stmt.format(d1=m * n - 1, bound=bound)
         checks.append(_check(claim, stmt, worst, rel, bound, tol, note))
     return checks
@@ -292,31 +322,27 @@ def _suite_dew_attainability(m, n, samples, seed):
 
 
 def _suite_tail_sum_bounds(m, n, samples, seed):
-    reports, skipped = _sampled_reports(m, n, samples, seed)
-    pair = min((float(r.lambdas[-2:].sum()) for r in reports), default=0.0)
-    triple = min((float(r.lambdas[-3:].sum()) for r in reports), default=0.0)
+    stream = _sampled_stream(m, n, samples, seed)
+    lam = stream.lambdas
+    pair = _extreme(lam[:, -2:].sum(axis=1), np.min, 0.0)
+    triple = _extreme(lam[:, -3:].sum(axis=1), np.min, 0.0)
     return [
         _check("tail_pair_sum_floor", "two smallest eigenvalues sum above -sqrt(2)/2",
-               pair, ">=", -SQRT2 / 2.0, 1e-9,
-               f"{len(reports)} witnesses, {skipped} skipped"),
+               pair, ">=", -SQRT2 / 2.0, 1e-9, stream.summary),
         _check("tail_triple_sum_floor", "three smallest eigenvalues sum above -1",
                triple, ">=", -1.0, 1e-9),
     ]
 
 
 def _suite_absolute_ppt(m, n, samples, seed):
-    d = m * n
+    # one seeded unitary per index rotates both states
+    rngs = (np.random.default_rng(_sample_seed(seed, i)) for i in range(samples))
+    us = [haar_unitary(m * n, rng) for rng in rngs]
     checks = []
     for name in ("rho1", "rho2"):
-        rho = canonical_state(name, m=m, n=n)
-
-        def trial(i, rho=rho):
-            rng = np.random.default_rng(_sample_seed(seed, i))
-            u = haar_unitary(d, rng)
-            rotated = u @ rho.mat @ u.conj().T
-            return float(eig_hermitian(pt_mat(rotated, m, n)).values[-1])
-
-        worst = min(trial(i) for i in range(samples))
+        rho = canonical_state(name, m=m, n=n).mat
+        orbit = np.array([pt_mat(u @ rho @ u.conj().T, m, n) for u in us])
+        worst = float(eig_hermitian(orbit).values[:, -1].min())
         checks.append(
             _check(f"ap_{name}_unitary_orbit",
                    f"{name} stays PPT under seeded global unitaries",
@@ -581,6 +607,8 @@ def run_suite(
 # Serialization.  Wall time is excluded so identical (suite, params, seed)
 # runs serialize to identical bytes.
 
+# The run's parameters, which lead the JSON report and key it.
+_PARAMS = ("suite", "m", "n", "samples", "seed")
 _CSV_FIELDS = (
     "claim_id",
     "statement",
@@ -595,17 +623,9 @@ _CSV_FIELDS = (
 
 def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
     if fmt == "json":
-        payload = {
-            "suite": report.suite,
-            "m": report.m,
-            "n": report.n,
-            "samples": report.samples,
-            "seed": report.seed,
-            "passed": report.passed,
-            "n_pass": report.n_pass,
-            "n_fail": report.n_fail,
-            "checks": [asdict(c) for c in report.checks],
-        }
+        fields = _PARAMS + ("passed", "n_pass", "n_fail")
+        payload = {k: getattr(report, k) for k in fields}
+        payload["checks"] = [asdict(c) for c in report.checks]
         return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
@@ -620,11 +640,5 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
 
 def report_from_json(data) -> SuiteReport:
     obj = json.loads(data) if isinstance(data, (str, bytes)) else data
-    return SuiteReport(
-        suite=obj["suite"],
-        m=obj["m"],
-        n=obj["n"],
-        samples=obj["samples"],
-        seed=obj["seed"],
-        checks=[Check(**c) for c in obj["checks"]],
-    )
+    checks = [Check(**c) for c in obj["checks"]]
+    return SuiteReport(**{k: obj[k] for k in _PARAMS}, checks=checks)

@@ -227,6 +227,28 @@ def test_ndew_and_detect_commands(tmp_path, capsys):
     assert pipeline["base_restarts_converged"] == 64
 
 
+def test_ndew_and_detect_output_feed_other_commands(tmp_path, capsys):
+    sigma_path = str(tmp_path / "sigma.json")
+    nd_path = str(tmp_path / "ndew.json")
+    run(["state", "--name", "gamma", "--out", sigma_path], capsys)
+    code, _, _ = run(["ndew", "--input", sigma_path, "--out", nd_path], capsys)
+    assert code == 0
+    code, out, _ = run(["report", "--input", nd_path], capsys)
+    assert code == 0 and json.loads(out)["is_ew"]
+    code, out, _ = run(["blockpos", "--mode", "verdict", "--input", nd_path], capsys)
+    assert code in (0, 1)
+    statuses = ("yes-psd", "yes-heuristic", "no", "inconclusive")
+    assert json.loads(out)["status"] in statuses
+
+    rho_path = str(tmp_path / "rho.json")
+    det_path = str(tmp_path / "detect.json")
+    write_operator(rho_path, pure_from_schmidt([2**-0.5] * 2, 3, 3).projector())
+    code, _, _ = run(["detect", "--input", rho_path, "--out", det_path], capsys)
+    assert code == 0
+    code, out, _ = run(["report", "--input", det_path], capsys)
+    assert code == 0 and json.loads(out)["is_ew"]
+
+
 def test_verify_exit_codes_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

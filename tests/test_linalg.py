@@ -16,6 +16,7 @@ from ews.linalg import (
     negativity,
     operator_from_json,
     operator_to_json,
+    read_operator,
     is_psd,
     negative_cut,
     partial_transpose,
@@ -351,6 +352,16 @@ class TestMatrixJson:
     def test_integer_entries_read_as_numbers(self):
         obj = {"m": 2, "n": 2, "entries": [[int(i % 5 == 0), 0] for i in range(16)]}
         assert np.array_equal(operator_from_json(obj).mat, np.eye(4))
+
+    def test_read_operator_unwraps_a_witness_object(self, tmp_path):
+        op = BipartiteOperator(2, 3, random_hermitian(6))
+        path = tmp_path / "w.json"
+        payload = {"class": "DEW", "provenance": {}, "witness": operator_to_json(op)}
+        path.write_text(json.dumps(payload))
+        assert np.array_equal(read_operator(str(path)).mat, op.mat)
+        path.write_text(json.dumps({"witness": 5}))
+        with pytest.raises(BadParamError):
+            read_operator(str(path))
 
 
 def test_embed_operator():

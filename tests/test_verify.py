@@ -12,6 +12,7 @@ from ews.verify import (
     report_from_json,
     run_suite,
 )
+from ews.witness import sample_dew, spectral_report
 
 
 def test_unknown_suite():
@@ -68,6 +69,7 @@ def test_mirror_suite():
 
 def test_report_determinism_and_roundtrip():
     a = run_suite("dew_bounds", m=2, n=2, samples=50, seed=11)
+    verify._sampled_stream.cache_clear()  # the second run draws its stream again
     b = run_suite("dew_bounds", m=2, n=2, samples=50, seed=11)
     assert emit_report(a) == emit_report(b)
     assert emit_report(a, "csv") == emit_report(b, "csv")
@@ -75,6 +77,66 @@ def test_report_determinism_and_roundtrip():
     assert a == b
     back = report_from_json(emit_report(a))
     assert back == a
+
+
+_SAMPLED_SUITES = ("dew_bounds", "ew_spectral_ranges", "tail_sum_bounds")
+
+
+@pytest.mark.parametrize("order", [_SAMPLED_SUITES, _SAMPLED_SUITES[::-1]])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (2, 4)])
+def test_cached_stream_gives_the_cold_report_bytes(m, n, order):
+    def emit(suite):
+        report = run_suite(suite, m=m, n=n, samples=60, seed=3)
+        return emit_report(report) + emit_report(report, "csv")
+
+    cold = {}
+    for suite in order:
+        verify._sampled_stream.cache_clear()
+        cold[suite] = emit(suite)
+    verify._sampled_stream.cache_clear()
+    assert {suite: emit(suite) for suite in order} == cold
+    info = verify._sampled_stream.cache_info()
+    assert (info.misses, info.hits) == (1, len(order) - 1)
+
+
+def test_stream_matches_the_per_sample_reports():
+    """The cached arrays hold exactly what each sample's report says."""
+    m, n, samples, seed = 2, 3, 40, 4
+    reports = []
+    for i in range(samples):
+        rng = np.random.default_rng(verify._sample_seed(seed, i))
+        x = float(rng.uniform(0.0, 1.0))
+        ranks = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        w = sample_dew(m, n, x, *ranks, seed=int(rng.integers(0, 2**63)))
+        reports.append(spectral_report(w))
+    ews = [r for r in reports if r.is_ew]
+    verify._sampled_stream.cache_clear()
+    stream = verify._sampled_stream(m, n, samples, seed)
+    assert stream.rows == tuple(b.name for b in ews[0].bounds)
+    assert stream.skipped == samples - len(ews)
+    assert np.array_equal(stream.lambdas, [r.lambdas for r in ews])
+    for field in ("measured", "passed"):
+        rows = [[getattr(b, field) for b in r.bounds] for r in ews]
+        assert np.array_equal(getattr(stream, field), rows)
+
+
+def test_stream_cache_never_exceeds_its_bound():
+    verify._sampled_stream.cache_clear()
+    bound = verify._STREAM_CACHE_SIZE
+    for seed in range(bound + 3):
+        run_suite("tail_sum_bounds", m=2, n=2, samples=5, seed=seed)
+        info = verify._sampled_stream.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == min(seed + 1, bound)
+
+
+def test_cached_stream_arrays_are_read_only():
+    verify._sampled_stream.cache_clear()
+    stream = verify._sampled_stream(2, 2, 20, 1)
+    for arr in (stream.lambdas, stream.measured, stream.passed):
+        for view in (arr, arr.base):
+            with pytest.raises(ValueError):
+                view[(0,) * view.ndim] = 0
 
 
 @pytest.mark.parametrize("samples", [0, -1])

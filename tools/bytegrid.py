@@ -1,0 +1,121 @@
+"""Compare verification-report bytes of a git revision with this checkout.
+
+    python3 tools/bytegrid.py REV
+
+Exports REV with ``git archive`` into a temporary directory, then runs the
+report grid once per tree, each in its own Python process importing that
+tree's ``src/``.  A grid entry is one ``verify.run_suite`` call, and its
+digest is the SHA-256 of the ``emit_report`` JSON bytes followed by the
+CSV bytes.  Prints the entries whose digests differ and exits 1 if any
+do, 0 if none do, and 2 if the revision or a tree cannot be run.
+
+The grid (270 entries) covers all eight suites:
+
+- ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
+  ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
+  samples 1/3/50, plus 640 samples for the three sampled bound suites;
+- ``npt_detection`` at (3,3), (2,4), (3,4), seeds 1/7/42, samples 1/3;
+- ``dew_attainability``, ``ndew_constructions`` and ``mirror_conditions``
+  at (3,3), seeds 1/7/42, samples 1/3/50.
+
+Suites sharing a key run back to back, so a tree that reuses work across
+suites is compared on both its cold and its reused path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SIZES = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4))
+SEEDS = (1, 7, 42)
+BOUND_SUITES = ("dew_bounds", "ew_spectral_ranges", "tail_sum_bounds")
+FIXED_SUITES = ("dew_attainability", "ndew_constructions", "mirror_conditions")
+
+
+def grid():
+    """(suite, m, n, samples, seed) of every entry, in run order."""
+    for m, n in SIZES:
+        for seed in SEEDS:
+            for samples in (1, 3, 50, 640):
+                for suite in BOUND_SUITES + ("absolute_ppt",):
+                    if samples < 640 or suite in BOUND_SUITES:
+                        yield suite, m, n, samples, seed
+    for m, n in ((3, 3), (2, 4), (3, 4)):
+        for seed in SEEDS:
+            for samples in (1, 3):
+                yield "npt_detection", m, n, samples, seed
+    for suite in FIXED_SUITES:
+        for seed in SEEDS:
+            for samples in (1, 3, 50):
+                yield suite, 3, 3, samples, seed
+
+
+def digests(src: str) -> dict:
+    """Digest of every grid entry, computed with the ews under `src`."""
+    from ews import verify
+
+    if os.path.dirname(os.path.abspath(verify.__file__)) != os.path.join(src, "ews"):
+        sys.stderr.write(f"imported ews from {verify.__file__}, not from {src}\n")
+        raise SystemExit(2)
+    out = {}
+    for suite, m, n, samples, seed in grid():
+        report = verify.run_suite(suite, m=m, n=n, samples=samples, seed=seed)
+        body = verify.emit_report(report, "json") + verify.emit_report(report, "csv")
+        out[f"{suite} ({m},{n}) samples={samples} seed={seed}"] = (
+            hashlib.sha256(body).hexdigest()
+        )
+    return out
+
+
+def run_tree(tree: str) -> dict:
+    src = os.path.join(tree, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--digests", src],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(f"grid run on {tree} failed:\n{proc.stderr[-2000:]}\n")
+        raise SystemExit(2)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("rev", nargs="?", help="git revision to compare with this checkout")
+    p.add_argument("--digests", metavar="SRC", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.digests:
+        print(json.dumps(digests(os.path.abspath(args.digests))))
+        return 0
+    if not args.rev:
+        p.error("a git revision is required")
+    with tempfile.TemporaryDirectory(prefix="bytegrid-") as tmp:
+        archive = subprocess.run(
+            ["git", "-C", ROOT, "archive", "--format=tar", args.rev],
+            capture_output=True, check=False,
+        )
+        if archive.returncode != 0:
+            sys.stderr.write(archive.stderr.decode(errors="replace"))
+            return 2
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        theirs = run_tree(tmp)
+    ours = run_tree(ROOT)
+    differ = sorted(k for k in ours.keys() | theirs.keys()
+                    if ours.get(k) != theirs.get(k))
+    for key in differ:
+        print(f"differs: {key}  {theirs.get(key)} -> {ours.get(key)}")
+    print(f"{len(ours) - len(differ)}/{len(ours)} digests identical to {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
