@@ -4,7 +4,8 @@ block-positivity checks.
 
 The see-saw is a heuristic: each restart converges monotonically to a
 local optimum, and the multi-start minimum/maximum is reported together
-with restart statistics so callers can judge how flat the landscape is.
+with restart statistics; `_agreement` judges a minimum by how many
+converged restarts reproduce it.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergedRestartError, NoConvergenceError
+from .errors import BadParamError, NoConvergedRestartError, NoConvergenceError
 from .linalg import BipartiteOperator, eig_hermitian, fro_norm, is_psd, pt_mat
 from .states import haar_vector
 
 SEESAW_ITER_CAP = 500
 SEESAW_VALUE_TOL = 1e-12
 DEFAULT_RESTARTS = 64
+# A converged restart agrees when its value lies within
+# AGREE_TOL * max(1, ||W||_F) of the best value; the see-saw evidence for
+# that value holds when at least min(restarts tried, AGREE_MIN) agree.
+AGREE_TOL = 1e-6
+AGREE_MIN = 4
 
 
 @dataclass
@@ -32,8 +38,8 @@ class OptResult:
     restarts_tried: int
     restarts_converged: int
     spread: float
-    iterations: int = 0
-    converged_values: np.ndarray = field(default=None, repr=False)
+    iterations: int
+    converged_values: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -43,6 +49,7 @@ class BlockPositivityVerdict:
     restarts_tried: int
     restarts_converged: int
     iterations: int
+    restarts_agreeing: int
     value: float | None = None
 
 
@@ -142,60 +149,45 @@ def product_expectation_max(
     return _seesaw(op, restarts, seed, "max")
 
 
+def _agreement(op: BipartiteOperator, opt: OptResult) -> tuple[int, bool]:
+    """The see-saw evidence rule: how many converged restarts agree at the
+    best value of `op`, and whether that many back it."""
+    tol = AGREE_TOL * max(1.0, fro_norm(op.mat))
+    agreeing = int(np.sum(np.abs(opt.converged_values - opt.value) <= tol))
+    return agreeing, agreeing >= min(opt.restarts_tried, AGREE_MIN)
+
+
 def is_block_positive(
     op: BipartiteOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> BlockPositivityVerdict:
     """Three-way block-positivity check.
 
     Fast certified paths: W or W^PT positive semidefinite gives yes-psd.
-    Otherwise the see-saw minimum decides: a clearly negative value is a
-    counterexample (no); a non-negative value backed by at least 32
-    converged restarts agreeing within 1e-8 is yes-heuristic, which is
+    Otherwise the see-saw minimum decides, with scale = max(1, ||W||_F): a
+    value below -1e-9 * scale is a counterexample (no); a value of at least
+    -1e-12 * scale that `_agreement` backs is yes-heuristic, which is
     evidence rather than proof; everything else is inconclusive.
     """
-    scale = max(1.0, fro_norm(op.mat))
     if is_psd(op.mat) or is_psd(pt_mat(op.mat, op.m, op.n)):
-        return BlockPositivityVerdict(
-            status="yes-psd",
-            counterexample=None,
-            restarts_tried=0,
-            restarts_converged=0,
-            iterations=0,
-        )
+        return BlockPositivityVerdict("yes-psd", None, 0, 0, 0, 0)
     try:
         opt = product_expectation_min(op, restarts=restarts, seed=seed)
     except NoConvergedRestartError:
         return BlockPositivityVerdict(
-            status="inconclusive",
-            counterexample=None,
-            restarts_tried=restarts,
-            restarts_converged=0,
-            iterations=restarts * SEESAW_ITER_CAP,
+            "inconclusive", None, restarts, 0, restarts * SEESAW_ITER_CAP, 0
         )
+    scale = max(1.0, fro_norm(op.mat))
+    agreeing, holds = _agreement(op, opt)
     if opt.value < -1e-9 * scale:
-        return BlockPositivityVerdict(
-            status="no",
-            counterexample=(opt.vec_a, opt.vec_b, opt.value),
-            restarts_tried=opt.restarts_tried,
-            restarts_converged=opt.restarts_converged,
-            iterations=opt.iterations,
-            value=opt.value,
-        )
-    if (
-        opt.value >= -1e-12 * scale
-        and opt.restarts_converged >= 32
-        and opt.spread < 1e-8
-    ):
+        status = "no"
+    elif opt.value >= -1e-12 * scale and holds:
         status = "yes-heuristic"
     else:
         status = "inconclusive"
+    counterexample = (opt.vec_a, opt.vec_b, opt.value) if status == "no" else None
     return BlockPositivityVerdict(
-        status=status,
-        counterexample=None,
-        restarts_tried=opt.restarts_tried,
-        restarts_converged=opt.restarts_converged,
-        iterations=opt.iterations,
-        value=opt.value,
+        status, counterexample, opt.restarts_tried, opt.restarts_converged,
+        opt.iterations, agreeing, opt.value,
     )
 
 
@@ -206,17 +198,19 @@ def product_vector_in_subspace(
     product vector by minimizing the residual <a,b|(I - P_V)|a,b>.
 
     Returns (vec_a, vec_b) when the residual drops below 1e-10, else None
-    (heuristic absence).
+    (heuristic absence).  Unlike a minimum, a product vector found needs no
+    `_agreement` evidence: it is its own proof.  A basis of the wrong
+    length or with rows that are not orthonormal raises BadParamError.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
         basis = basis[None, :]
     k, d = basis.shape
     if m * n != d:
-        raise ValueError(f"basis lives in dimension {d} != {m}*{n}")
+        raise BadParamError(f"basis lives in dimension {d} != {m}*{n}")
     gram = basis.conj() @ basis.T
     if np.abs(gram - np.eye(k)).max() > 1e-10:
-        raise ValueError("basis rows are not orthonormal")
+        raise BadParamError("basis rows are not orthonormal")
     proj = basis.T @ basis.conj()
     comp = BipartiteOperator(m, n, np.eye(d, dtype=complex) - proj)
     opt = product_expectation_min(comp, restarts=restarts, seed=seed)

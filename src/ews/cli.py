@@ -115,6 +115,7 @@ def _cmd_blockpos(args):
             "value": verdict.value,
             "restarts_tried": verdict.restarts_tried,
             "restarts_converged": verdict.restarts_converged,
+            "restarts_agreeing": verdict.restarts_agreeing,
             "counterexample_value": (
                 None if verdict.counterexample is None else verdict.counterexample[2]
             ),

@@ -55,10 +55,10 @@ class PureState:
             raise NormViolationError("Schmidt coefficients must square-sum to 1")
         for basis, dim in ((self.basis_a, self.m), (self.basis_b, self.n)):
             if basis.shape != (d, dim):
-                raise ValueError(f"basis shape {basis.shape} != ({d}, {dim})")
+                raise BadParamError(f"basis shape {basis.shape} != ({d}, {dim})")
             gram = basis.conj() @ basis.T
             if np.abs(gram - np.eye(d)).max() > 1e-10:
-                raise ValueError("local basis vectors are not orthonormal")
+                raise BadParamError("local basis vectors are not orthonormal")
 
     @property
     def rank(self) -> int:

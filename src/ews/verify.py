@@ -364,9 +364,7 @@ def _suite_absolute_ppt(m, n, samples, seed):
 
 
 def _kernel_pt_floor(sigma: BipartiteOperator) -> float:
-    eig = eig_hermitian(pt_mat(sigma.mat, sigma.m, sigma.n))
-    cols = eig.vectors[:, eig.values < 1e-9]
-    q = cols @ cols.conj().T
+    q, _ = witness._kernel_projector(pt_mat(sigma.mat, sigma.m, sigma.n))
     qg = pt_mat(q, sigma.m, sigma.n)
     qg = qg / np.trace(qg).real
     return float(eig_hermitian(qg).values[-1])

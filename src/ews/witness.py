@@ -376,9 +376,9 @@ def ndew_from_edge(
     positive product-vector minimum epsilon; subtracting delta < epsilon
     times the identity yields a block-positive operator with
     tr(W sigma) < 0, which certifies both entanglement of sigma and
-    nondecomposability of W.  epsilon is estimated by see-saw multistart;
-    the estimate is trusted only when enough restarts reproduce the best
-    value, and delta is capped at half the estimate.  proj_p / proj_q
+    nondecomposability of W.  epsilon is a see-saw multistart minimum,
+    trusted only when `blockpos._agreement` backs it (unconverged restarts
+    count neither way); delta is capped at half of it.  proj_p / proj_q
     override the kernel projectors (used to exhibit constructions whose
     margin vanishes).
     """
@@ -408,11 +408,11 @@ def ndew_from_edge(
             f"product-vector margin {eps:.3e} vanishes; the projector pair "
             "admits no identity shift"
         )
-    agreeing = int(np.sum(opt.converged_values < opt.value + 1e-6))
-    if opt.restarts_converged < min(restarts, 64) or agreeing < min(restarts, 4):
+    agreeing, holds = blockpos._agreement(candidate, opt)
+    if not holds:
         raise NoConvergedRestartError(
-            f"margin estimate not reproducible: {agreeing} restarts within "
-            f"1e-6 of the best value"
+            f"margin estimate not reproducible: {agreeing} restarts agree "
+            "at the best value"
         )
     delta = min(params.delta, eps / 2.0)
     norm = params.z * dim_p + dim_q - d * delta

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ews import blockpos
+from ews import blockpos, witness
 from ews.blockpos import (
     is_block_positive,
     product_expectation_max,
@@ -12,9 +12,9 @@ from ews.blockpos import (
     product_vector_in_subspace,
     zero_pattern_check,
 )
-from ews.errors import NoConvergenceError
+from ews.errors import BadParamError, NoConvergenceError
 from ews.linalg import BipartiteOperator, eig_hermitian, kron, pt_mat
-from ews.states import haar_vector, max_entangled, tiles_upb_state
+from ews.states import haar_vector, max_entangled, pure_from_schmidt, tiles_upb_state
 
 RNG = np.random.default_rng(321)
 
@@ -177,6 +177,22 @@ class TestSeesawMax:
         assert abs(opt.value - 0.9) < 1e-10
 
 
+def generalized_choi(a, b, c):
+    """Choi matrix of the generalised Choi map Phi[a,b,c] on 3x3 matrices:
+    X -> diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X."""
+    mat = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            e_ij = np.zeros((3, 3))
+            e_ij[i, j] = 1.0
+            image = -e_ij
+            if i == j:
+                image = np.diag(np.roll([a, c, b], i)) - e_ij
+            mat += np.kron(e_ij, image)
+    return BipartiteOperator(3, 3, mat)
+
+
 class TestBlockPositive:
     def test_negative_identity(self):
         op = BipartiteOperator(2, 2, -np.eye(4, dtype=complex))
@@ -187,7 +203,10 @@ class TestBlockPositive:
 
     def test_psd_fast_path(self):
         op = max_entangled(2, 2).projector()
-        assert is_block_positive(op, restarts=4, seed=14).status == "yes-psd"
+        verdict = is_block_positive(op, restarts=4, seed=14)
+        assert verdict.status == "yes-psd"
+        assert verdict.restarts_agreeing == 0
+        assert verdict.value is None
 
     def test_pt_psd_fast_path(self):
         op = BipartiteOperator(
@@ -200,6 +219,56 @@ class TestBlockPositive:
         op = BipartiteOperator(2, 2, np.diag([1.0, 1.0, 1.0, -0.2]).astype(complex))
         verdict = is_block_positive(op, restarts=16, seed=16)
         assert verdict.status == "no"
+
+
+class TestEvidenceRule:
+    """yes-heuristic rests on how many converged restarts agree at the
+    best value, not on the spread over every local minimum."""
+
+    @pytest.mark.parametrize("kind", ["rho_b_flip", "gamma1", "gamma2"])
+    def test_base_witnesses_are_yes_heuristic(self, kind):
+        op = witness._base_witness(kind, 64).op
+        verdict = is_block_positive(op, restarts=64, seed=0)
+        assert verdict.status == "yes-heuristic"
+        assert verdict.restarts_converged == 64
+        assert blockpos.AGREE_MIN <= verdict.restarts_agreeing < 64
+        assert verdict.value > 0.0
+
+    def test_embedded_bell_detection_witness_is_yes_heuristic(self):
+        cert = witness.detect_npt(
+            pure_from_schmidt([2**-0.5] * 2, 3, 3).projector(), seed=0
+        )
+        verdict = is_block_positive(cert.witness.op, restarts=64, seed=0)
+        assert verdict.status == "yes-heuristic"
+
+    def test_generalized_choi_is_yes_heuristic(self):
+        # Phi[2,0,1] is positive (Cho, Kye & Lee 1992) and its product
+        # minimum is 0; not every restart converges, and unconverged
+        # restarts count neither way
+        verdict = is_block_positive(generalized_choi(2.0, 0.0, 1.0), restarts=64, seed=0)
+        assert verdict.status == "yes-heuristic"
+        assert verdict.restarts_converged < 64
+        assert verdict.restarts_agreeing == verdict.restarts_converged
+        assert abs(verdict.value) < 1e-12
+
+    def test_too_few_agreeing_restarts_are_inconclusive(self):
+        # 8 restarts on the flipped 2x4 base witness leave one at its minimum
+        op = witness._base_witness("rho_b_flip", 64).op
+        verdict = is_block_positive(op, restarts=8, seed=0)
+        assert verdict.status == "inconclusive"
+        assert verdict.restarts_converged == 8
+        assert verdict.restarts_agreeing < blockpos.AGREE_MIN
+        assert verdict.value > 0.0
+
+    def test_no_converged_restart_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CAP", 1)
+        op = witness._base_witness("gamma1", 64).op
+        verdict = is_block_positive(op, restarts=8, seed=0)
+        assert verdict.status == "inconclusive"
+        assert verdict.restarts_converged == 0
+        assert verdict.restarts_agreeing == 0
+        assert verdict.iterations == 8
+        assert verdict.value is None
 
 
 class TestProductVectorInSubspace:
@@ -217,6 +286,15 @@ class TestProductVectorInSubspace:
     def test_entangled_line_empty(self):
         basis = max_entangled(2, 2).to_vector()[None, :]
         assert product_vector_in_subspace(basis, 2, 2, restarts=16, seed=18) is None
+
+    def test_basis_of_wrong_length_rejected(self):
+        with pytest.raises(BadParamError):
+            product_vector_in_subspace(np.eye(6, dtype=complex)[:2], 2, 2)
+
+    def test_non_orthonormal_rows_rejected(self):
+        basis = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], dtype=complex)
+        with pytest.raises(BadParamError):
+            product_vector_in_subspace(basis, 2, 2)
 
     def test_tiles_range_is_completely_entangled(self):
         sigma = tiles_upb_state()

@@ -52,6 +52,15 @@ class TestPureState:
         with pytest.raises(RankTooLargeError):
             pure_from_schmidt([3**-0.5] * 3, 2, 4)
 
+    def test_basis_of_wrong_shape_rejected(self):
+        with pytest.raises(BadParamError):
+            PureState(2, 2, [1.0], np.eye(2)[:1], np.eye(3)[:1])
+
+    def test_non_orthonormal_basis_rejected(self):
+        basis = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(BadParamError):
+            PureState(2, 2, [2**-0.5] * 2, basis, np.eye(2))
+
     def test_from_vector_recovers_schmidt(self):
         rng = np.random.default_rng(5)
         for m, n in ((2, 2), (3, 4), (4, 3)):

@@ -7,6 +7,7 @@ from ews.errors import (
     EpsilonVanishesError,
     FullRankError,
     IsPPTError,
+    NoConvergedRestartError,
     NoConvergenceError,
     NotPPTError,
     OrthogonalityError,
@@ -252,6 +253,11 @@ class TestNdewFromEdge:
     def test_npt_rejected(self):
         with pytest.raises(NotPPTError):
             ndew_from_edge(max_entangled(3, 3).projector(), restarts=8, seed=0)
+
+    def test_margin_backed_by_too_few_restarts_rejected(self):
+        # two of eight restarts agree at the best value, short of four
+        with pytest.raises(NoConvergedRestartError):
+            ndew_from_edge(canonical_state("gamma"), restarts=8, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,18 @@
-"""Compare verification-report bytes of a git revision with this checkout.
+"""Compare verification-report and CLI output bytes of a git revision
+with this checkout.
 
     python3 tools/bytegrid.py REV
 
 Exports REV with ``git archive`` into a temporary directory, then runs the
-report grid once per tree, each in its own Python process importing that
-tree's ``src/``.  A grid entry is one ``verify.run_suite`` call, and its
-digest is the SHA-256 of the ``emit_report`` JSON bytes followed by the
-CSV bytes.  Prints the entries whose digests differ and exits 1 if any
-do, 0 if none do, and 2 if the revision or a tree cannot be run.
+grid once per tree, each in its own Python process importing that tree's
+``src/``.  A suite entry is one ``verify.run_suite`` call, and its digest
+is the SHA-256 of the ``emit_report`` JSON bytes followed by the CSV
+bytes.  A CLI entry is one ``cli.main`` call writing to ``--out``, and its
+digest is the SHA-256 of the output bytes followed by the exit code.
+Prints the entries whose digests differ and exits 1 if any do, 0 if none
+do, and 2 if the revision or a tree cannot be run.
 
-The grid (270 entries) covers all eight suites:
+The grid has 283 entries.  270 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -20,12 +23,21 @@ The grid (270 entries) covers all eight suites:
 
 Suites sharing a key run back to back, so a tree that reuses work across
 suites is compared on both its cold and its reused path.
+
+13 CLI entries follow the suites, at the CLI's default seed and restarts:
+``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at b = 0.9;
+``blockpos --mode verdict`` and ``mirror`` on each ``ndew`` output;
+``detect`` on the qubit Bell state embedded at (3,3) and (2,4); and
+``report`` on each ``detect`` output.  A command that fails writes no
+output, so its digest covers empty bytes and its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -58,6 +70,45 @@ def grid():
                 yield suite, 3, 3, samples, seed
 
 
+NDEW_INPUTS = (("gamma", {}), ("gamma_prime", {}), ("rho_b", {"b": 0.9}))
+BELL_SIZES = ((3, 3), (2, 4))
+
+
+def cli_digests() -> dict:
+    """Digest of every CLI entry; each command's output feeds the ones
+    after it."""
+    from ews import cli, linalg, states
+
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="bytegrid-cli-") as tmp:
+        def run(name, argv):
+            dest = os.path.join(tmp, name.replace(" ", "_") + ".json")
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--out", dest])
+            body = b""
+            if os.path.exists(dest):
+                with open(dest, "rb") as fh:
+                    body = fh.read()
+            out[f"cli {name}"] = hashlib.sha256(body + str(code).encode()).hexdigest()
+            return dest
+
+        for name, params in NDEW_INPUTS:
+            sigma = os.path.join(tmp, name + ".json")
+            linalg.write_operator(sigma, states.canonical_state(name, **params))
+            witness = run(f"ndew {name}", ["ndew", "--input", sigma])
+            run(f"blockpos --mode verdict ndew {name}",
+                ["blockpos", "--mode", "verdict", "--input", witness])
+            run(f"mirror ndew {name}", ["mirror", "--input", witness])
+        for m, n in BELL_SIZES:
+            rho = os.path.join(tmp, f"bell{m}x{n}.json")
+            linalg.write_operator(
+                rho, states.pure_from_schmidt([2**-0.5] * 2, m, n).projector()
+            )
+            certificate = run(f"detect bell{m}x{n}", ["detect", "--input", rho])
+            run(f"report detect bell{m}x{n}", ["report", "--input", certificate])
+    return out
+
+
 def digests(src: str) -> dict:
     """Digest of every grid entry, computed with the ews under `src`."""
     from ews import verify
@@ -72,6 +123,7 @@ def digests(src: str) -> dict:
         out[f"{suite} ({m},{n}) samples={samples} seed={seed}"] = (
             hashlib.sha256(body).hexdigest()
         )
+    out.update(cli_digests())
     return out
 
 
