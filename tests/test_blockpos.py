@@ -245,7 +245,8 @@ class TestEvidenceRule:
         # Phi[2,0,1] is positive (Cho, Kye & Lee 1992) and its product
         # minimum is 0; not every restart converges, and unconverged
         # restarts count neither way
-        verdict = is_block_positive(generalized_choi(2.0, 0.0, 1.0), restarts=64, seed=0)
+        op = generalized_choi(2.0, 0.0, 1.0)
+        verdict = is_block_positive(op, restarts=64, seed=0)
         assert verdict.status == "yes-heuristic"
         assert verdict.restarts_converged < 64
         assert verdict.restarts_agreeing == verdict.restarts_converged
