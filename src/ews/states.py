@@ -6,6 +6,7 @@ reference spectra, bound entangled edge states and PPT tests.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,11 +153,44 @@ def pt_spectrum_pure(psi: PureState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Canonical (named) states.
 
-def _diag_state(diag: np.ndarray, m: int, n: int, normalized: bool = True):
+def _whole(key: str, value) -> int:
+    if int(value) != float(value):
+        raise BadParamError(f"{key}={value} is not an integer")
+    return int(value)
+
+
+def _require_dims(m: int, n: int) -> None:
+    if m < 2 or n < 2:
+        raise BadParamError(f"local dimensions ({m}, {n}) must both be >= 2")
+
+
+def _dims(m, n) -> tuple[int, int]:
+    """Integer local dimensions of a named state; n defaults to m."""
+    m = _whole("m", m)
+    n = m if n is None else _whole("n", n)
+    _require_dims(m, n)
+    return m, n
+
+
+def _diag_state(head, m: int, n: int, normalized=True) -> BipartiteOperator:
+    """diag(head, 1, ..., 1) on C^m (x) C^n, at unit trace when normalized."""
+    if normalized not in (True, False):
+        raise BadParamError(f"normalized={normalized!r} is not a bool, 0 or 1")
+    diag = np.ones(m * n)
+    diag[: len(head)] = head
     mat = np.diag(diag.astype(complex))
     if normalized:
         mat = mat / np.trace(mat).real
     return BipartiteOperator(m, n, mat)
+
+
+def _zeta1(m=3, l=1) -> BipartiteOperator:
+    m, l = _whole("m", m), _whole("l", l)
+    if m < 2:
+        raise BadParamError("zeta1 requires m >= 2")
+    if not 1 <= l <= m * m:
+        raise BadParamError(f"l={l} outside 1..{m * m}")
+    return _diag_state([(m + 1.0) / (m - 1.0)] * l, m, m)
 
 
 def _gamma_base() -> np.ndarray:
@@ -182,10 +216,9 @@ _SIGN3 = np.diag([-1.0, -1.0, 1.0]).astype(complex)
 _FLIP3 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 
 
-def _gamma_variant(u: np.ndarray) -> np.ndarray:
-    g = _gamma_base()
+def _gamma_variant(u: np.ndarray) -> BipartiteOperator:
     f = np.kron(u, _FLIP3)
-    return pt_mat(f @ g @ f.conj().T, 3, 3)
+    return BipartiteOperator(3, 3, pt_mat(f @ _gamma_base() @ f.conj().T, 3, 3))
 
 
 def rho_b_state(b: float) -> BipartiteOperator:
@@ -219,104 +252,6 @@ def rho_a_state(a: float) -> BipartiteOperator:
     return BipartiteOperator(3, 3, r.astype(complex) / (8.0 * a + 1.0))
 
 
-# Each canonical state and the parameters it takes; any other key is an error.
-_STATE_PARAMS = {
-    "zeta1": ("m", "l"),
-    "zeta2": ("m", "n"),
-    "rho1": ("m", "n", "normalized"),
-    "rho2": ("m", "n", "normalized"),
-    "rho_b": ("b",),
-    "rho_a": ("a",),
-    "gamma": (),
-    "gamma_prime": (),
-    "gamma1": (),
-    "gamma2": (),
-    "tiles_upb": (),
-    "max_ball_center": ("m", "n"),
-}
-CANONICAL_NAMES = tuple(_STATE_PARAMS)
-
-
-def canonical_state(name: str, **params) -> BipartiteOperator:
-    """Construct a named reference state.
-
-    zeta1(m, l)        diag with l copies of (m+1)/(m-1) then ones; inside
-                       the maximal ball for every l in 1..m^2.
-    zeta2(m, n)        diag(3, 1, ..., 1)/(mn+2); absolutely separable.
-    rho1(m, n)         diag(sqrt2+1, sqrt2+1, 1, ...); absolutely PPT.
-    rho2(m, n)         diag(2, 2, 2, 1, ...); absolutely PPT.
-                       Both accept normalized=False for the raw diagonal.
-    rho_b(b)           2x4 bound entangled edge state.
-    rho_a(a)           3x3 bound entangled edge state.
-    gamma              two-qutrit PPT entangled state with trace one.
-    gamma_prime        sign/flip conjugated partial transpose of gamma;
-                       orthogonal to the transposed qutrit Bell projector.
-    gamma1, gamma2     cyclic-shift / sign variants used by the NPT
-                       detection pipeline.
-    tiles_upb          normalized complement of the tiles product basis.
-    max_ball_center(m, n)  maximally mixed state.
-
-    A key the named state does not take raises BadParamError.
-    """
-    if name not in _STATE_PARAMS:
-        raise BadParamError(f"unknown canonical state {name!r}")
-    unknown = sorted(set(params) - set(_STATE_PARAMS[name]))
-    if unknown:
-        raise BadParamError(f"{name} takes no parameter {', '.join(unknown)}")
-    if name == "zeta1":
-        m = int(params.get("m", 3))
-        l = int(params.get("l", 1))
-        if m < 2:
-            raise BadParamError("zeta1 requires m >= 2")
-        if not 1 <= l <= m * m:
-            raise BadParamError(f"l={l} outside 1..{m * m}")
-        top = (m + 1.0) / (m - 1.0)
-        diag = np.array([top] * l + [1.0] * (m * m - l))
-        return _diag_state(diag, m, m)
-    if name == "zeta2":
-        m = int(params.get("m", 3))
-        n = int(params.get("n", m))
-        _require_dims(m, n)
-        diag = np.ones(m * n)
-        diag[0] = 3.0
-        return _diag_state(diag, m, n)
-    if name in ("rho1", "rho2"):
-        m = int(params.get("m", 3))
-        n = int(params.get("n", m))
-        _require_dims(m, n)
-        normalized = params.get("normalized", True)
-        if normalized not in (True, False):
-            raise BadParamError(f"normalized={normalized!r} is not a bool, 0 or 1")
-        diag = np.ones(m * n)
-        if name == "rho1":
-            diag[0] = diag[1] = np.sqrt(2.0) + 1.0
-        else:
-            diag[0] = diag[1] = diag[2] = 2.0
-        return _diag_state(diag, m, n, normalized=bool(normalized))
-    if name == "rho_b":
-        return rho_b_state(float(params.get("b", 0.9)))
-    if name == "rho_a":
-        return rho_a_state(float(params.get("a", 0.9)))
-    if name == "gamma":
-        return BipartiteOperator(3, 3, _gamma_base())
-    if name in ("gamma_prime", "gamma2"):
-        return BipartiteOperator(3, 3, _gamma_variant(_SIGN3))
-    if name == "gamma1":
-        return BipartiteOperator(3, 3, _gamma_variant(_SHIFT3))
-    if name == "tiles_upb":
-        return tiles_upb_state()
-    if name == "max_ball_center":
-        m = int(params.get("m", 3))
-        n = int(params.get("n", m))
-        _require_dims(m, n)
-        return BipartiteOperator(m, n, np.eye(m * n, dtype=complex) / (m * n))
-
-
-def _require_dims(m: int, n: int) -> None:
-    if m < 2 or n < 2:
-        raise BadParamError(f"local dimensions ({m}, {n}) must both be >= 2")
-
-
 def tiles_upb_vectors() -> list[np.ndarray]:
     """The five tiles product vectors: real, mutually orthogonal, and
     unextendible in C^3 (x) C^3."""
@@ -342,6 +277,60 @@ def tiles_upb_state() -> BipartiteOperator:
     for v in tiles_upb_vectors():
         mat -= np.outer(v, v.conj())
     return BipartiteOperator(3, 3, mat / 4.0)
+
+
+# Each canonical state's builder; its keyword parameters are the keys the
+# state takes, and any other key is an error.
+_STATES = {
+    "zeta1": _zeta1,
+    "zeta2": lambda m=3, n=None: _diag_state([3.0], *_dims(m, n)),
+    "rho1": lambda m=3, n=None, normalized=True: _diag_state(
+        [np.sqrt(2.0) + 1.0] * 2, *_dims(m, n), normalized
+    ),
+    "rho2": lambda m=3, n=None, normalized=True: _diag_state(
+        [2.0] * 3, *_dims(m, n), normalized
+    ),
+    "rho_b": lambda b=0.9: rho_b_state(float(b)),
+    "rho_a": lambda a=0.9: rho_a_state(float(a)),
+    "gamma": lambda: BipartiteOperator(3, 3, _gamma_base()),
+    "gamma_prime": lambda: _gamma_variant(_SIGN3),
+    "gamma1": lambda: _gamma_variant(_SHIFT3),
+    "gamma2": lambda: _gamma_variant(_SIGN3),
+    "tiles_upb": tiles_upb_state,
+    "max_ball_center": lambda m=3, n=None: _diag_state([], *_dims(m, n)),
+}
+CANONICAL_NAMES = tuple(_STATES)
+
+
+def canonical_state(name: str, **params) -> BipartiteOperator:
+    """Construct a named reference state.
+
+    zeta1(m, l)        diag with l copies of (m+1)/(m-1) then ones; inside
+                       the maximal ball for every l in 1..m^2.
+    zeta2(m, n)        diag(3, 1, ..., 1)/(mn+2); absolutely separable.
+    rho1(m, n)         diag(sqrt2+1, sqrt2+1, 1, ...); absolutely PPT.
+    rho2(m, n)         diag(2, 2, 2, 1, ...); absolutely PPT.
+                       Both accept normalized=False for the raw diagonal.
+    rho_b(b)           2x4 bound entangled edge state.
+    rho_a(a)           3x3 bound entangled edge state.
+    gamma              two-qutrit PPT entangled state with trace one.
+    gamma_prime        sign/flip conjugated partial transpose of gamma;
+                       orthogonal to the transposed qutrit Bell projector.
+    gamma1, gamma2     cyclic-shift / sign variants used by the NPT
+                       detection pipeline.
+    tiles_upb          normalized complement of the tiles product basis.
+    max_ball_center(m, n)  maximally mixed state.
+
+    n defaults to m; m, n and l must be integer values.  A key the named
+    state does not take raises BadParamError.
+    """
+    if name not in _STATES:
+        raise BadParamError(f"unknown canonical state {name!r}")
+    build = _STATES[name]
+    unknown = sorted(set(params) - set(inspect.signature(build).parameters))
+    if unknown:
+        raise BadParamError(f"{name} takes no parameter {', '.join(unknown)}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +384,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _wishart(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    """Unit-trace d x d Wishart matrix G G^dag of a complex Gaussian d x rank G."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
 def random_state(kind: str, m: int, n: int, rank: int | None = None, seed: int = 0):
     """Seeded sampler: kind 'pure_haar' gives a PureState, 'density_wishart'
     a PSD unit-trace BipartiteOperator of the requested rank."""
@@ -407,7 +403,5 @@ def random_state(kind: str, m: int, n: int, rank: int | None = None, seed: int =
             rank = d
         if not 1 <= rank <= d:
             raise BadRankError(f"rank {rank} outside 1..{d}")
-        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-        mat = g @ g.conj().T
-        return BipartiteOperator(m, n, mat / np.trace(mat).real)
+        return BipartiteOperator(m, n, _wishart(rng, d, rank))
     raise BadParamError(f"unknown sampling kind {kind!r}")

@@ -29,6 +29,7 @@ from .linalg import (
 from .states import canonical_state, haar_unitary, max_entangled, pure_from_schmidt
 from .witness import (
     BOUND_TOL,
+    DETECT_TOL,
     FamilyParams,
     NdewParams,
     boost_witness,
@@ -409,7 +410,7 @@ def _suite_ndew_constructions(m, n, samples, seed):
     checks.append(
         _check("gamma_detected",
                "kernel witness certifies the two-qutrit reference state",
-               expect, "<", 0.0, 1e-9, note)
+               expect, "<", 0.0, DETECT_TOL, note)
     )
 
     gp = canonical_state("gamma_prime")
@@ -463,7 +464,7 @@ def _suite_npt_detection(m, n, samples, seed):
             expect, note = 0.0, repr(exc)
         checks.append(
             _check(claim, f"{stmt} is certified with negative expectation",
-                   expect, "<", 0.0, 1e-9, note)
+                   expect, "<", 0.0, DETECT_TOL, note)
         )
 
     failures = 0
@@ -480,7 +481,7 @@ def _suite_npt_detection(m, n, samples, seed):
         try:
             cert = detect_npt(rho, seed=_sample_seed(seed, i) ^ 0xA5)
             worst = max(worst, cert.expectation)
-            if cert.expectation >= -1e-9:
+            if cert.expectation >= -DETECT_TOL:
                 failures += 1
         except EwsError as exc:
             failures += 1
@@ -522,7 +523,8 @@ def _suite_mirror_conditions(m, n, samples, seed):
         )
 
     # necessary conditions: whenever a mirror is itself a witness, the source
-    # must sit strictly inside the attainability boundary
+    # must sit strictly inside the attainability boundary, attaining no edge
+    # of the bound table
     battery = [
         w_family(FamilyParams(0.5, 0.5, 0.0, 0.0, 2, 2)),
         w_family(FamilyParams(0.25, 0.25, 0.25, 0.25, 2, 2)),
@@ -540,14 +542,7 @@ def _suite_mirror_conditions(m, n, samples, seed):
         if res_b.verdict != "mirror-EW":
             continue
         n_mirror_ew += 1
-        rep = spectral_report(w)
-        if rep.lambda_min <= -0.5 + 1e-9:
-            violations += 1
-        if w.class_tag == witness.TAG_DEW:
-            if rep.fro_sq >= 1.0 - 1e-9:
-                violations += 1
-            if rep.negativity >= (w.m - 1) / 2.0 - 1e-9:
-                violations += 1
+        violations += sum(b.attained for b in spectral_report(w).bounds)
     checks.append(
         _check("mirror_necessary_conditions",
                "mirror witnesses only arise strictly inside the spectral boundary",
@@ -578,7 +573,7 @@ def run_suite(
     """Execute a registered suite; failing checks are recorded, never raised.
 
     samples=None selects the suite's default count; otherwise it must be
-    at least 1.
+    at least 1.  m and n must both be at least 2.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(
@@ -586,6 +581,7 @@ def run_suite(
         )
     if samples is not None and samples < 1:
         raise BadParamError(f"samples must be at least 1, got {samples}")
+    states._require_dims(m, n)
     suite, default = _SUITES[name]
     samples = default if samples is None else samples
     start = time.perf_counter()

@@ -10,6 +10,7 @@ qubit-qubit and qubit-qutrit cases) against a nondecomposable witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,25 +50,28 @@ TAG_UNCLASSIFIED = "EW-unclassified"
 KERNEL_TOL = 1e-9
 # Minimum admissible product-vector margin for the kernel witness.
 EPSILON_FLOOR = 1e-7
+# A witness W detects a state rho when tr(W rho) < -DETECT_TOL.
+DETECT_TOL = 1e-9
 
 
 @dataclass
 class Witness:
-    """Block-positive operator with provenance.
+    """Unit-trace block-positive operator with provenance.
 
-    class_tag NDEW-certified requires detected_state to hold a PPT state
-    with tr(W rho) < -1e-9; the negative-eigenvalue requirement of a
-    witness is enforced at certification time, not at construction.
+    The trace is checked at construction (within 1e-9); normalize the
+    operator first.  class_tag NDEW-certified requires detected_state to
+    hold a PPT state with tr(W rho) < -DETECT_TOL; the negative-eigenvalue
+    requirement of a witness is enforced at certification time, not at
+    construction.
     """
 
     op: BipartiteOperator
     class_tag: str = TAG_UNCLASSIFIED
     provenance: dict = field(default_factory=dict)
     detected_state: BipartiteOperator | None = None
-    normalized: bool = True
 
     def __post_init__(self):
-        if self.normalized and abs(self.op.trace() - 1.0) > 1e-9:
+        if abs(self.op.trace() - 1.0) > 1e-9:
             raise TraceViolationError(f"witness trace {self.op.trace()} != 1")
 
     @property
@@ -168,14 +172,8 @@ def sample_dew(
     if not (1 <= rank_p <= d and 1 <= rank_q <= d):
         raise BadRankError(f"ranks ({rank_p}, {rank_q}) outside 1..{d}")
     rng = np.random.default_rng(seed)
-
-    def wishart(rank: int) -> np.ndarray:
-        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-        w = g @ g.conj().T
-        return w / np.trace(w).real
-
-    p_mat = wishart(rank_p)
-    q_mat = wishart(rank_q)
+    p_mat = states._wishart(rng, d, rank_p)
+    q_mat = states._wishart(rng, d, rank_q)
     mat = x * p_mat + (1.0 - x) * pt_mat(q_mat, m, n)
     return Witness(
         op=BipartiteOperator(m, n, mat),
@@ -253,14 +251,10 @@ def bound_table(m: int, n: int) -> list[tuple]:
     return rows
 
 
-# How each row of the bound table is measured on a report; the qubit tail
-# sums are evaluated only where the table lists them.
-_MEASURE = {
-    "lambda1": lambda r: r.lambda1,
-    "lambda_min": lambda r: r.lambda_min,
-    "fro_sq": lambda r: r.fro_sq,
-    "neg_count": lambda r: r.neg_count,
-    "negativity": lambda r: r.negativity,
+# How the qubit tail-sum rows of the bound table are measured on a report,
+# only where the table lists them; every other row reads the report field
+# of its name.
+_TAIL_MEASURE = {
     "pair_sum": lambda r: r.lambdas[1] + r.lambdas[-1],
     "tail_from_3": lambda r: r.lambdas[2:].sum(),
     "tail_from_4_on": lambda r: min(
@@ -293,7 +287,8 @@ def spectral_report(w) -> SpectrumReport:
     if not report.is_ew:
         return report
     for name, lower, upper, attained_at in bound_table(m, n):
-        value = _MEASURE[name](report)
+        tail = _TAIL_MEASURE.get(name)
+        value = tail(report) if tail else getattr(report, name)
         ok = (lower is None or value >= lower - BOUND_TOL) and (
             upper is None or value <= upper + BOUND_TOL
         )
@@ -419,7 +414,7 @@ def ndew_from_edge(
     mat = (candidate.mat - delta * np.eye(d)) / norm
     op = BipartiteOperator(m, n, mat)
     expectation = float(np.trace(op.mat @ sigma.mat).real)
-    if expectation >= -1e-9:
+    if expectation >= -DETECT_TOL:
         raise EpsilonVanishesError(
             f"detection expectation {expectation:.3e} not negative"
         )
@@ -439,18 +434,17 @@ def ndew_from_edge(
     )
 
 
-def boost_witness(w: Witness, psi: PureState, t: float | None = None) -> Witness:
+def boost_witness(w: Witness, psi: PureState, t: float = 1.0) -> Witness:
     """Mix a certified witness with the transposed projector of a pure state
     orthogonal (under the partial transpose pairing) to the stored detected
-    state: W' = (t PT(|psi><psi|) + W) / (1 + t).
+    state: W' = (t PT(|psi><psi|) + W) / (1 + t), for a weight t >= 0.
 
     Detection of the stored state survives with expectation scaled by
     1/(1+t), while large t drags the spectrum toward that of the
-    transposed projector."""
+    transposed projector.  The result keeps unit trace and the stored
+    state."""
     if w.class_tag != TAG_NDEW or w.detected_state is None:
         raise BadParamError("boost requires a certified witness with a stored state")
-    if t is None:
-        t = 1.0
     if t < 0:
         raise BadParamError(f"t={t} must be non-negative")
     overlap = float(
@@ -522,31 +516,27 @@ class DetectionCertificate:
     filters: LocalFilter
 
 
-_BASE_CACHE: dict = {}
-
-
 def _base_edge_state(kind: str) -> BipartiteOperator:
+    """The flipped 2x4 edge state rho_b_flip, or a named two-qutrit state."""
     if kind == "rho_b_flip":
         rb = states.rho_b_state(0.9)
         f = kron(np.diag([-1.0, 1.0]).astype(complex), np.eye(4, dtype=complex))
         return BipartiteOperator(2, 4, f @ pt_mat(rb.mat, 2, 4) @ f.conj().T)
-    if kind == "gamma1":
-        return states.canonical_state("gamma1")
-    if kind == "gamma2":
-        return states.canonical_state("gamma2")
-    raise ValueError(kind)
+    return states.canonical_state(kind)
 
 
+@functools.cache
 def _base_witness(kind: str, restarts: int):
     """Kernel witness of a base edge state, built once per (kind, restarts)
     at see-saw seed 0: it depends on nothing but its fixed edge state."""
-    key = (kind, restarts)
-    if key not in _BASE_CACHE:
-        sigma = _base_edge_state(kind)
-        _BASE_CACHE[key] = ndew_from_edge(
-            sigma, NdewParams(), restarts=restarts, seed=0
-        )
-    return _BASE_CACHE[key]
+    return ndew_from_edge(_base_edge_state(kind), restarts=restarts, seed=0)
+
+
+def _conjugated(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """g^dag mat g, symmetrised and scaled to unit trace."""
+    out = g.conj().T @ mat @ g
+    out = (out + out.conj().T) / 2.0
+    return out / np.trace(out).real
 
 
 def _require_detectable(m: int, n: int) -> None:
@@ -588,9 +578,7 @@ def detect_npt(
     d = psi.rank
     filters = local_filter_to_max_entangled(psi)
     f = kron(filters.a.conj(), filters.b)
-    rho_f = f.conj().T @ rho.mat @ f
-    rho_f = (rho_f + rho_f.conj().T) / 2.0
-    rho_prime = BipartiteOperator(m, n, rho_f / np.trace(rho_f).real)
+    rho_prime = BipartiteOperator(m, n, _conjugated(f, rho.mat))
 
     if m == 2:
         kind = "rho_b_flip"
@@ -618,19 +606,13 @@ def detect_npt(
     t = 2.0 * abs(base_expect) / abs(carrier) + 1.0
     boosted = boost_witness(base_pad, psi_d, t=t)
 
-    pulled = f @ boosted.op.mat @ f.conj().T
-    pulled = (pulled + pulled.conj().T) / 2.0
-    pulled /= np.trace(pulled).real
-    w_final = BipartiteOperator(m, n, pulled)
-
-    f_inv = np.linalg.inv(f)
-    ppt_state = f_inv.conj().T @ boosted.detected_state.mat @ f_inv
-    ppt_state = (ppt_state + ppt_state.conj().T) / 2.0
-    ppt_state /= np.trace(ppt_state).real
-    certified_state = BipartiteOperator(m, n, ppt_state)
+    w_final = BipartiteOperator(m, n, _conjugated(f.conj().T, boosted.op.mat))
+    certified_state = BipartiteOperator(
+        m, n, _conjugated(np.linalg.inv(f), boosted.detected_state.mat)
+    )
 
     expectation = float(np.trace(w_final.mat @ rho.mat).real)
-    if expectation >= -1e-9:
+    if expectation >= -DETECT_TOL:
         raise BoostDenominatorError(
             f"pipeline produced non-negative expectation {expectation:.3e}"
         )

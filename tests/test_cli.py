@@ -10,6 +10,7 @@ import pytest
 import ews
 from ews import verify, witness
 from ews.cli import build_parser, main
+from ews.errors import BadParamError
 from ews.linalg import read_operator, write_operator
 from ews.states import pure_from_schmidt
 
@@ -397,11 +398,33 @@ def test_negative_family_sizes_exit_2(capsys):
         ["--name", "gamma", "--param", "bogus=3"],
         ["--name", "gamma", "--m", "3"],
         ["--name", "rho1", "--param", "normalized=no"],
+        ["--name", "zeta2", "--param", "m=2.5", "--param", "n=3.9"],
+        ["--name", "max_ball_center", "--param", "m=3.5"],
+        ["--name", "zeta1", "--param", "l=1.5"],
     ],
 )
 def test_state_rejects_params_it_does_not_take(argv, capsys):
     code, out, err = run(["state", *argv], capsys)
     assert code == 2 and out == "" and "error" in err
+
+
+def test_state_integer_valued_float_sizes_are_accepted(capsys):
+    code, out, _ = run(["state", "--name", "zeta2", "--param", "m=3.0"], capsys)
+    code_int, out_int, _ = run(["state", "--name", "zeta2", "--param", "m=3"], capsys)
+    assert code == code_int == 0
+    assert out == out_int and json.loads(out)["m"] == 3
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (0, 3)])
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_every_suite_rejects_trivial_factors(suite, m, n, capsys):
+    with pytest.raises(BadParamError, match="local dimensions"):
+        verify.run_suite(suite, m=m, n=n, samples=3, seed=1)
+    code, out, err = run(
+        ["verify", "--suite", suite, "--m", str(m), "--n", str(n), "--samples", "3"],
+        capsys,
+    )
+    assert code == 2 and out == "" and "local dimensions" in err
 
 
 @pytest.mark.parametrize("value", ["false", "False", "FALSE", "0"])

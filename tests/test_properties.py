@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ews.blockpos import product_expectation_max, product_expectation_min
 from ews.linalg import BipartiteOperator, eig_hermitian, fro_norm, kron, pt_mat
+from ews.states import PureState, haar_unitary
 from ews.witness import bound_table, sample_dew, spectral_report
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -64,3 +65,18 @@ def test_sampled_witnesses_meet_the_bound_table(dims, x, rank_q, seed):
     for b in rep.bounds:
         assert type(b.lower) in (float, int, type(None))
         assert type(b.upper) in (float, int, type(None))
+
+
+@given(log_s=st.floats(min_value=-7.0, max_value=0.0), seed=seeds)
+def test_schmidt_round_trip_near_rank_deficiency(log_s, seed):
+    # coefficients proportional to (1, s, 0) with s log-uniform in [1e-7, 1],
+    # under Haar-random local unitaries
+    s = 10.0**log_s
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(3, rng), haar_unitary(3, rng)
+    coeffs = np.array([1.0, s, 0.0]) / np.hypot(1.0, s)
+    v = (ua @ np.diag(coeffs) @ ub.T).reshape(9)
+    psi = PureState.from_vector(v, 3, 3)
+    assert psi.rank == 2
+    assert abs(psi.coeffs[1] / psi.coeffs[0] - s) <= 1e-12
+    assert np.linalg.norm(psi.to_vector() - v) < 1e-12

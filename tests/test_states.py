@@ -12,6 +12,7 @@ from ews.errors import (
 )
 from ews.linalg import BipartiteOperator, eig_hermitian, pt_mat
 from ews.states import (
+    CANONICAL_NAMES,
     PureState,
     as_2xn_test,
     canonical_state,
@@ -327,11 +328,61 @@ def test_haar_unitary_is_unitary():
         ("zeta1", {"n": 3}),
         ("rho1", {"normalized": "no"}),
         ("rho2", {"normalized": 2}),
+        ("zeta2", {"m": 2.5, "n": 3.9}),
+        ("zeta2", {"n": 3.5}),
+        ("rho1", {"m": 2.5}),
+        ("rho2", {"m": 3, "n": 2.1}),
+        ("max_ball_center", {"m": 3.0001}),
+        ("zeta1", {"l": 1.5}),
+        ("zeta1", {"m": 2.5}),
     ],
 )
 def test_canonical_state_rejects_keys_and_values_it_does_not_take(name, params):
     with pytest.raises(BadParamError):
         canonical_state(name, **params)
+
+
+# The exact keys each canonical state takes.
+_STATE_KEYS = {
+    "zeta1": {"m", "l"},
+    "zeta2": {"m", "n"},
+    "rho1": {"m", "n", "normalized"},
+    "rho2": {"m", "n", "normalized"},
+    "rho_b": {"b"},
+    "rho_a": {"a"},
+    "gamma": set(),
+    "gamma_prime": set(),
+    "gamma1": set(),
+    "gamma2": set(),
+    "tiles_upb": set(),
+    "max_ball_center": {"m", "n"},
+}
+# A valid value of every key above.
+_VALID = {"m": 2, "n": 3, "l": 2, "normalized": False, "b": 0.5, "a": 0.5}
+
+
+def test_canonical_names_are_the_pinned_states_in_order():
+    assert CANONICAL_NAMES == tuple(_STATE_KEYS)
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_KEYS))
+def test_canonical_state_takes_exactly_its_pinned_keys(name):
+    keys = _STATE_KEYS[name]
+    canonical_state(name, **{k: _VALID[k] for k in keys})
+    for key in sorted(set(_VALID) - keys):
+        with pytest.raises(BadParamError, match=f"{name} takes no parameter {key}"):
+            canonical_state(name, **{key: _VALID[key]})
+
+
+def test_canonical_state_accepts_integer_valued_floats():
+    for name in ("zeta2", "rho1", "max_ball_center"):
+        whole = canonical_state(name, m=3.0, n=2.0)
+        assert (whole.m, whole.n) == (3, 2)
+        assert np.array_equal(whole.mat, canonical_state(name, m=3, n=2).mat)
+    assert np.array_equal(
+        canonical_state("zeta1", m=3.0, l=2.0).mat,
+        canonical_state("zeta1", m=3, l=2).mat,
+    )
 
 
 def test_canonical_state_normalized_accepts_bools_and_0_1():

@@ -208,10 +208,10 @@ class TestMirror:
         assert eig_hermitian(res.w_m.mat).values[-1] >= -1e-10
 
     def test_rejects_non_block_positive(self):
+        # unit trace, but <11|W|11> = -3/2 on a product vector
         w = Witness(
-            op=BipartiteOperator(2, 2, -np.eye(4, dtype=complex) / 4.0),
+            op=BipartiteOperator(2, 2, np.diag([1.5, 0.5, 0.5, -1.5]).astype(complex)),
             class_tag="EW-unclassified",
-            normalized=False,
         )
         with pytest.raises(BadParamError):
             mirror(w, restarts=8, seed=3)
@@ -374,11 +374,12 @@ class TestDetectNpt:
                 hits += 1
         assert hits > 0
 
-    def test_base_witness_built_once_across_seeds(self, monkeypatch):
-        monkeypatch.setattr(witness, "_BASE_CACHE", {})
+    def test_base_witness_built_once_across_seeds(self):
+        witness._base_witness.cache_clear()
         rho = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()
         certs = [detect_npt(rho, restarts=64, seed=s) for s in (0, 1, 2)]
-        assert list(witness._BASE_CACHE) == [("gamma1", 64)]
+        info = witness._base_witness.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
         first = certs[0].witness.op.mat.tobytes()
         assert all(c.witness.op.mat.tobytes() == first for c in certs)
 

@@ -12,7 +12,7 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 283 entries.  270 suite entries cover all eight suites:
+The grid has 333 entries.  270 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -29,7 +29,14 @@ suites is compared on both its cold and its reused path.
 ``blockpos --mode verdict`` and ``mirror`` on each ``ndew`` output;
 ``detect`` on the qubit Bell state embedded at (3,3) and (2,4); and
 ``report`` on each ``detect`` output.  A command that fails writes no
-output, so its digest covers empty bytes and its exit code.
+output, so its digest covers empty bytes and its exit code; an uncaught
+exception stands in for the exit code by its type name.
+
+50 more CLI entries cover the named states and the size checks: ``state``
+for every canonical name at its defaults (12); ``state`` with each
+parameter varied, a key the state does not take, and the sizes m=2.5 n=3.9,
+l=1.5 and m=3.0 (28); ``family`` at 2x2 and 3x3 (2); and ``verify`` of
+every suite at the trivial size (1,1) with 3 samples (8).
 """
 
 from __future__ import annotations
@@ -72,19 +79,41 @@ def grid():
 
 NDEW_INPUTS = (("gamma", {}), ("gamma_prime", {}), ("rho_b", {"b": 0.9}))
 BELL_SIZES = ((3, 3), (2, 4))
+# (name, --param values) of the state entries beyond the defaults
+STATE_PARAMS = (
+    ("zeta1", ("m=2",)), ("zeta1", ("m=4",)), ("zeta1", ("l=5",)),
+    ("zeta1", ("m=2", "l=4")), ("zeta1", ("l=10",)),
+    ("zeta2", ("m=2",)), ("zeta2", ("n=4",)), ("zeta2", ("m=2", "n=3")),
+    ("rho1", ("m=2",)), ("rho1", ("n=4",)), ("rho1", ("normalized=0",)),
+    ("rho1", ("m=2", "n=4", "normalized=false")),
+    ("rho2", ("m=2",)), ("rho2", ("n=4",)), ("rho2", ("normalized=0",)),
+    ("max_ball_center", ("m=2",)), ("max_ball_center", ("n=4",)),
+    ("max_ball_center", ("m=1",)),
+    ("rho_b", ("b=0.5",)), ("rho_b", ("b=1.5",)), ("rho_a", ("a=0.5",)),
+    ("gamma", ("bogus=1",)), ("zeta1", ("n=3",)), ("rho_b", ("a=0.5",)),
+    ("zeta2", ("m=2.5", "n=3.9")), ("zeta1", ("l=1.5",)),
+    ("rho1", ("m=3.0",)), ("zeta1", ("m=3.0", "l=2.0")),
+)
+FAMILY_ARGS = (
+    "--a 0.25 --b 0.25 --c 0.25 --d 0.25 --m 2 --n 2".split(),
+    "--a 0.2 --b 0.4 --c 0.2 --d 0.2 --m 3 --n 3".split(),
+)
 
 
 def cli_digests() -> dict:
     """Digest of every CLI entry; each command's output feeds the ones
     after it."""
-    from ews import cli, linalg, states
+    from ews import cli, linalg, states, verify
 
     out = {}
     with tempfile.TemporaryDirectory(prefix="bytegrid-cli-") as tmp:
         def run(name, argv):
             dest = os.path.join(tmp, name.replace(" ", "_") + ".json")
             with contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([*argv, "--out", dest])
+                try:
+                    code = cli.main([*argv, "--out", dest])
+                except Exception as exc:  # noqa: BLE001 - a crash is an outcome
+                    code = type(exc).__name__
             body = b""
             if os.path.exists(dest):
                 with open(dest, "rb") as fh:
@@ -106,6 +135,16 @@ def cli_digests() -> dict:
             )
             certificate = run(f"detect bell{m}x{n}", ["detect", "--input", rho])
             run(f"report detect bell{m}x{n}", ["report", "--input", certificate])
+        for name in states.CANONICAL_NAMES:
+            run(f"state {name}", ["state", "--name", name])
+        for name, params in STATE_PARAMS:
+            run(f"state {name} {' '.join(params)}",
+                ["state", "--name", name, *(a for p in params for a in ("--param", p))])
+        for argv in FAMILY_ARGS:
+            run(f"family {' '.join(argv)}", ["family", *argv])
+        for suite in verify.SUITE_NAMES:
+            run(f"verify {suite} (1,1)",
+                ["verify", "--suite", suite, "--m", "1", "--n", "1", "--samples", "3"])
     return out
 
 
