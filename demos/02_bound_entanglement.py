@@ -5,13 +5,15 @@ an edge state, the projectors onto its kernel and onto the kernel of its
 partial transpose combine into a block-positive operator whose
 product-vector minimum epsilon is strictly positive; shifting by
 delta < epsilon gives a nondecomposable witness with negative expectation
-on the state.  The tiles construction shows why the margin matters: a
-badly chosen projector pair drives epsilon to zero.
+on the state.  The tiles construction shows why the margin matters: drop
+one tile vector and the kernel projectors of the remaining PPT state
+drive epsilon to zero.
 """
 
 import numpy as np
 
 from ews import (
+    BipartiteOperator,
     NdewParams,
     canonical_state,
     eig_hermitian,
@@ -55,13 +57,13 @@ sigma = tiles_upb_state()
 rank = int((eig_hermitian(sigma.mat).values > 1e-10).sum())
 print(f"tiles complement state: rank {rank}, PPT: {is_ppt(sigma)}")
 
-# project onto only four of the five product vectors: the fifth one is a
-# product vector with zero expectation, so no identity shift survives
-proj = np.zeros((9, 9), dtype=complex)
-for v in tiles_upb_vectors()[:4]:
-    proj += np.outer(v, v.conj())
+# keep only four of the five real product vectors: sigma4 = (I - P4)/5 is
+# PPT, and it and its partial transpose both have kernel P4, so the fifth
+# vector is a product vector with zero expectation and no identity shift
+# survives
+proj = sum(np.outer(v, v.conj()) for v in tiles_upb_vectors()[:4])
+sigma4 = BipartiteOperator(3, 3, (np.eye(9) - proj) / 5.0)
 try:
-    ndew_from_edge(sigma, NdewParams(), restarts=32, seed=11,
-                   proj_p=proj, proj_q=proj)
+    ndew_from_edge(sigma4, NdewParams(), restarts=32, seed=11)
 except EpsilonVanishesError as exc:
     print(f"four-vector projector pair fails as expected: {exc}")

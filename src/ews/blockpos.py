@@ -73,7 +73,10 @@ def _extreme_eigvec(h: np.ndarray, mode: str):
 
 def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptResult:
     """All restarts step together; a restart leaves the live set once its
-    value moves by less than SEESAW_VALUE_TOL."""
+    value moves by less than SEESAW_VALUE_TOL.  Fewer than one restart is
+    a search that never runs and raises BadParamError."""
+    if restarts < 1:
+        raise BadParamError(f"restarts must be at least 1, got {restarts}")
     m, n = op.m, op.n
     w4 = op.mat.reshape(m, n, m, n)
     sign = 1.0 if mode == "min" else -1.0

@@ -67,10 +67,6 @@ class Spectrum:
     values: np.ndarray
     vectors: np.ndarray
 
-    def __iter__(self):
-        yield self.values
-        yield self.vectors
-
 
 def eig_hermitian(h: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix, or a stack (..., k, k) of them, with

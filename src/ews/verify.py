@@ -257,8 +257,8 @@ def _suite_ew_spectral_ranges(m, n, samples, seed):
 def _suite_dew_attainability(m, n, samples, seed):
     r2 = spectral_report(pure_pt_witness(pure_from_schmidt([2**-0.5] * 2, m, n)))
     mix = 0.5 * (
-        pt_mat(max_entangled(2, 4, 1).projector().mat, 2, 4)
-        + pt_mat(max_entangled(2, 4, 2).projector().mat, 2, 4)
+        witness._pt_projector(max_entangled(2, 4, 1))
+        + witness._pt_projector(max_entangled(2, 4, 2))
     )
     n_mix = spectral_report(BipartiteOperator(2, 4, mix)).negativity
     r8 = spectral_report(
@@ -415,9 +415,7 @@ def _suite_ndew_constructions(m, n, samples, seed):
 
     gp = canonical_state("gamma_prime")
     psi3 = max_entangled(3, 3)
-    overlap = float(
-        np.trace(pt_mat(psi3.projector().mat, 3, 3) @ gp.mat).real
-    )
+    overlap = float(np.trace(witness._pt_projector(psi3) @ gp.mat).real)
     checks.append(
         _check("gamma_prime_orthogonal",
                "conjugated state is orthogonal to the transposed qutrit Bell projector",
@@ -457,7 +455,7 @@ def _suite_npt_detection(m, n, samples, seed):
     ]
     for claim, psi, stmt in fixed:
         try:
-            cert = detect_npt(psi.projector(), seed=seed)
+            cert = detect_npt(psi.projector())
             expect = cert.expectation
             note = f"base {cert.pipeline['base']}, t={cert.pipeline['t']:.2f}"
         except EwsError as exc:
@@ -479,7 +477,7 @@ def _suite_npt_detection(m, n, samples, seed):
             continue
         n_npt += 1
         try:
-            cert = detect_npt(rho, seed=_sample_seed(seed, i) ^ 0xA5)
+            cert = detect_npt(rho)
             worst = max(worst, cert.expectation)
             if cert.expectation >= -DETECT_TOL:
                 failures += 1
@@ -499,7 +497,7 @@ def _suite_npt_detection(m, n, samples, seed):
 
 def _suite_mirror_conditions(m, n, samples, seed):
     bell = pure_from_schmidt([2**-0.5] * 2, 2, 2)
-    remark_mat = (2.0 / 3.0) * pt_mat(bell.projector().mat, 2, 2)
+    remark_mat = (2.0 / 3.0) * witness._pt_projector(bell)
     remark_mat[0, 0] += 1.0 / 3.0
     remark = witness.Witness(
         op=BipartiteOperator(2, 2, remark_mat), class_tag=witness.TAG_DEW
@@ -573,7 +571,11 @@ def run_suite(
     """Execute a registered suite; failing checks are recorded, never raised.
 
     samples=None selects the suite's default count; otherwise it must be
-    at least 1.  m and n must both be at least 2.
+    at least 1.  m and n must both be at least 2.  The report records the
+    requested (m, n) even where a suite runs fixed sizes:
+    ndew_constructions and mirror_conditions ignore m and n,
+    dew_attainability uses them only for its transposed Bell projector, and
+    absolute_ppt checks its pairing bound at 3x3 whatever the size.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(

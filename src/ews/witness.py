@@ -361,8 +361,6 @@ def ndew_from_edge(
     params: NdewParams | None = None,
     restarts: int = blockpos.DEFAULT_RESTARTS,
     seed: int = 0,
-    proj_p: np.ndarray | None = None,
-    proj_q: np.ndarray | None = None,
 ) -> Witness:
     """Certified nondecomposable witness from a bound entangled edge state.
 
@@ -373,23 +371,15 @@ def ndew_from_edge(
     tr(W sigma) < 0, which certifies both entanglement of sigma and
     nondecomposability of W.  epsilon is a see-saw multistart minimum,
     trusted only when `blockpos._agreement` backs it (unconverged restarts
-    count neither way); delta is capped at half of it.  proj_p / proj_q
-    override the kernel projectors (used to exhibit constructions whose
-    margin vanishes).
+    count neither way); delta is capped at half of it.
     """
     params = params or NdewParams()
     m, n = sigma.m, sigma.n
     d = m * n
     if not states.is_ppt(sigma):
         raise NotPPTError("sigma must have a positive partial transpose")
-    if proj_p is None:
-        proj_p, dim_p = _kernel_projector(sigma.mat)
-    else:
-        dim_p = int(round(np.trace(proj_p).real))
-    if proj_q is None:
-        proj_q, dim_q = _kernel_projector(pt_mat(sigma.mat, m, n))
-    else:
-        dim_q = int(round(np.trace(proj_q).real))
+    proj_p, dim_p = _kernel_projector(sigma.mat)
+    proj_q, dim_q = _kernel_projector(pt_mat(sigma.mat, m, n))
     if dim_p == 0 or dim_q == 0:
         raise FullRankError("sigma and its partial transpose must both have kernels")
 
@@ -447,14 +437,13 @@ def boost_witness(w: Witness, psi: PureState, t: float = 1.0) -> Witness:
         raise BadParamError("boost requires a certified witness with a stored state")
     if t < 0:
         raise BadParamError(f"t={t} must be non-negative")
-    overlap = float(
-        np.trace(_pt_projector(psi) @ w.detected_state.mat).real
-    )
+    pt_psi = _pt_projector(psi)
+    overlap = float(np.trace(pt_psi @ w.detected_state.mat).real)
     if abs(overlap) > 1e-10:
         raise OrthogonalityError(
             f"boost direction overlaps the stored state: {overlap:.3e}"
         )
-    mat = (t * _pt_projector(psi) + w.op.mat) / (1.0 + t)
+    mat = (t * pt_psi + w.op.mat) / (1.0 + t)
     return Witness(
         op=BipartiteOperator(w.m, w.n, mat),
         class_tag=TAG_NDEW,
@@ -472,7 +461,7 @@ class LocalFilter:
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    d: int = 0
+    d: int
 
 
 def local_filter_to_max_entangled(psi: PureState) -> LocalFilter:
@@ -502,10 +491,6 @@ def _psi_d_vector(m: int, n: int, d: int) -> np.ndarray:
     for i in range(d):
         v[i * n + i] = 1.0
     return v / np.sqrt(d)
-
-
-def _psi_d_state(m: int, n: int, d: int) -> PureState:
-    return PureState.from_vector(_psi_d_vector(m, n, d), m, n)
 
 
 @dataclass
@@ -587,16 +572,13 @@ def detect_npt(
     else:
         kind = "gamma2"
     base = _base_witness(kind, restarts)
-    base_op = embed_operator(base.op, m, n)
-    base_state = embed_operator(base.detected_state, m, n)
     base_pad = Witness(
-        op=base_op,
+        op=embed_operator(base.op, m, n),
         class_tag=TAG_NDEW,
-        detected_state=base_state,
-        provenance=dict(base.provenance, embedded=(m, n)),
+        detected_state=embed_operator(base.detected_state, m, n),
     )
 
-    psi_d = _psi_d_state(m, n, d)
+    psi_d = PureState.from_vector(_psi_d_vector(m, n, d), m, n)
     carrier = float(np.trace(_pt_projector(psi_d) @ rho_prime.mat).real)
     if carrier >= -1e-10:
         raise BoostDenominatorError(
@@ -616,26 +598,18 @@ def detect_npt(
         raise BoostDenominatorError(
             f"pipeline produced non-negative expectation {expectation:.3e}"
         )
+    trail = {"lambda_min_pt": lam_min, "schmidt_rank": d, "base": kind, "t": t}
     witness = Witness(
         op=w_final,
         class_tag=TAG_NDEW,
         detected_state=certified_state,
-        provenance={
-            "family": "detect_npt",
-            "base": kind,
-            "schmidt_rank": d,
-            "t": t,
-            "lambda_min_pt": lam_min,
-        },
+        provenance={"family": "detect_npt", **trail},
     )
     return DetectionCertificate(
         witness=witness,
         expectation=expectation,
         pipeline={
-            "lambda_min_pt": lam_min,
-            "schmidt_rank": d,
-            "base": kind,
-            "t": t,
+            **trail,
             "carrier": carrier,
             "base_expectation": base_expect,
             "base_epsilon_estimate": base.provenance["epsilon_estimate"],

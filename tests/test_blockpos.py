@@ -113,6 +113,23 @@ class TestSeesawMin:
             product_expectation_min(random_bipartite(2, 2), restarts=2, seed=1)
 
 
+# neither this operator nor its partial transpose is PSD, so a verdict on
+# it needs the see-saw
+_NOT_PSD = BipartiteOperator(2, 2, np.diag([1.5, 0.5, 0.5, -1.5]).astype(complex))
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+@pytest.mark.parametrize("search", [
+    lambda r: product_expectation_min(_NOT_PSD, restarts=r),
+    lambda r: product_expectation_max(_NOT_PSD, restarts=r),
+    lambda r: is_block_positive(_NOT_PSD, restarts=r),
+    lambda r: product_vector_in_subspace(np.eye(4)[:1], 2, 2, restarts=r),
+], ids=["min", "max", "verdict", "subspace"])
+def test_fewer_than_one_restart_rejected(search, restarts):
+    with pytest.raises(BadParamError):
+        search(restarts)
+
+
 def loop_seesaw(op, restarts, seed, mode):
     """Reference see-saw: one restart at a time, one 2-D eigensolve per
     half-step.  Returns (best value, restarts converged, iterations)."""

@@ -340,6 +340,27 @@ def test_process_exit_codes(tmp_path):
         assert proc.returncode == code, proc.stderr
 
 
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_seesaw_commands_reject_fewer_than_one_restart(tmp_path, capsys, restarts):
+    # <00|H|00> = -1/2 and H is its own partial transpose, so the
+    # block-positivity verdict cannot answer without the see-saw
+    neg = _write_matrix(tmp_path / "neg.json", 2, 2, [-0.5, 0.5, 0.5, 0.5])
+    gamma = str(tmp_path / "gamma.json")
+    run(["state", "--name", "gamma", "--out", gamma], capsys)
+    bell = str(tmp_path / "bell.json")
+    write_operator(bell, pure_from_schmidt([2**-0.5] * 2, 3, 3).projector())
+    for argv in (
+        *(["blockpos", "--mode", mode, "--input", neg]
+          for mode in ("min", "max", "verdict")),
+        ["mirror", "--input", neg],
+        ["ndew", "--input", gamma],
+        ["detect", "--input", bell],
+    ):
+        code, out, err = run([*argv, "--restarts", restarts], capsys)
+        assert (code, out) == (2, ""), argv
+        assert "restarts must be at least 1" in err, argv
+
+
 def test_out_receives_the_stdout_bytes(tmp_path, capsysbinary):
     w = str(tmp_path / "w.json")
     assert main(["family", "--a", "0.5", "--b", "0.5", "--c", "0", "--d", "0",

@@ -230,19 +230,21 @@ class TestNdewFromEdge:
         assert eig_hermitian(w.op.mat).values[-1] < -1e-10
 
     def test_tiles_upb_margin_vanishes(self):
-        sigma = tiles_upb_state()
-        proj = np.zeros((9, 9), dtype=complex)
-        for v in tiles_upb_vectors()[:4]:
-            proj += np.outer(v, v.conj())
+        # four of the five real tile vectors: (I - P4)/5 is PPT and both
+        # kernels are P4, so the fifth vector leaves no product-vector margin
+        proj = sum(np.outer(v, v.conj()) for v in tiles_upb_vectors()[:4])
+        sigma = BipartiteOperator(3, 3, (np.eye(9) - proj) / 5.0)
+        for mat in (sigma.mat, pt_mat(sigma.mat, 3, 3)):
+            kernel, dim = witness._kernel_projector(mat)
+            assert dim == 4
+            assert np.abs(kernel - proj).max() < 1e-12
         with pytest.raises(EpsilonVanishesError):
-            ndew_from_edge(
-                sigma,
-                NdewParams(),
-                restarts=32,
-                seed=11,
-                proj_p=proj,
-                proj_q=proj,
-            )
+            ndew_from_edge(sigma, NdewParams(), restarts=32, seed=11)
+
+    def test_kernel_projectors_come_from_the_state_alone(self):
+        proj = np.eye(9, dtype=complex)
+        with pytest.raises(TypeError):
+            ndew_from_edge(tiles_upb_state(), proj_p=proj, proj_q=proj)
 
     def test_full_rank_rejected(self):
         with pytest.raises(FullRankError):
@@ -393,6 +395,18 @@ class TestDetectNpt:
         assert cert.pipeline["base_epsilon_estimate"] > 0
         assert cert.pipeline["base_restarts_converged"] == 64
 
+    def test_pipeline_and_provenance_share_the_trail(self):
+        cert = detect_npt(max_entangled(3, 3).projector(), restarts=64, seed=3)
+        assert list(cert.pipeline) == [
+            "lambda_min_pt", "schmidt_rank", "base", "t", "carrier",
+            "base_expectation", "base_epsilon_estimate", "base_epsilon_spread",
+            "base_restarts_converged",
+        ]
+        prov = cert.witness.provenance
+        assert prov["family"] == "detect_npt"
+        for key in ("lambda_min_pt", "schmidt_rank", "base", "t"):
+            assert prov[key] == cert.pipeline[key]
+
     def test_ppt_input_rejected(self):
         with pytest.raises(IsPPTError):
             detect_npt(canonical_state("gamma"), restarts=8, seed=0)
@@ -442,3 +456,11 @@ def test_family_params_reject_bad_sizes(m, n):
 def test_ndew_params_take_no_boost_weight():
     with pytest.raises(TypeError):
         NdewParams(t=5.0)
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_seesaw_callers_reject_fewer_than_one_restart(restarts):
+    with pytest.raises(BadParamError):
+        mirror(pure_pt_witness(max_entangled(2, 2)), restarts=restarts)
+    with pytest.raises(BadParamError):
+        ndew_from_edge(canonical_state("rho_b", b=0.9), restarts=restarts)

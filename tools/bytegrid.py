@@ -12,7 +12,7 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 333 entries.  270 suite entries cover all eight suites:
+The grid has 350 entries.  270 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -24,11 +24,16 @@ The grid has 333 entries.  270 suite entries cover all eight suites:
 Suites sharing a key run back to back, so a tree that reuses work across
 suites is compared on both its cold and its reused path.
 
-13 CLI entries follow the suites, at the CLI's default seed and restarts:
-``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at b = 0.9;
-``blockpos --mode verdict`` and ``mirror`` on each ``ndew`` output;
-``detect`` on the qubit Bell state embedded at (3,3) and (2,4); and
-``report`` on each ``detect`` output.  A command that fails writes no
+30 CLI entries follow the suites, at the CLI's default seed and restarts
+unless named: ``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at
+b = 0.9; ``blockpos`` in modes ``verdict``, ``min`` and ``max`` and
+``mirror`` on each ``ndew`` output; ``ndew`` on the tiles state with one
+product vector dropped, (I - P4)/5, whose margin vanishes; ``detect`` on
+the qubit Bell state embedded at (3,3) and (2,4), on the qutrit Bell
+state (whose transposed bottom eigenvector has Schmidt rank 2) and on a
+seeded 3x3 Wishart state that takes the ``gamma2`` base; ``report`` on
+each ``detect`` output; and ``blockpos --mode verdict``, ``mirror`` and
+``ndew`` at ``--restarts`` 0 and -3.  A command that fails writes no
 output, so its digest covers empty bytes and its exit code; an uncaught
 exception stands in for the exit code by its type name.
 
@@ -78,7 +83,7 @@ def grid():
 
 
 NDEW_INPUTS = (("gamma", {}), ("gamma_prime", {}), ("rho_b", {"b": 0.9}))
-BELL_SIZES = ((3, 3), (2, 4))
+BAD_RESTARTS = ("0", "-3")
 # (name, --param values) of the state entries beyond the defaults
 STATE_PARAMS = (
     ("zeta1", ("m=2",)), ("zeta1", ("m=4",)), ("zeta1", ("l=5",)),
@@ -103,6 +108,8 @@ FAMILY_ARGS = (
 def cli_digests() -> dict:
     """Digest of every CLI entry; each command's output feeds the ones
     after it."""
+    import numpy as np
+
     from ews import cli, linalg, states, verify
 
     out = {}
@@ -121,20 +128,42 @@ def cli_digests() -> dict:
             out[f"cli {name}"] = hashlib.sha256(body + str(code).encode()).hexdigest()
             return dest
 
+        ndew_files = {}
         for name, params in NDEW_INPUTS:
             sigma = os.path.join(tmp, name + ".json")
             linalg.write_operator(sigma, states.canonical_state(name, **params))
             witness = run(f"ndew {name}", ["ndew", "--input", sigma])
-            run(f"blockpos --mode verdict ndew {name}",
-                ["blockpos", "--mode", "verdict", "--input", witness])
+            ndew_files[name] = sigma, witness
+            for mode in ("verdict", "min", "max"):
+                run(f"blockpos --mode {mode} ndew {name}",
+                    ["blockpos", "--mode", mode, "--input", witness])
             run(f"mirror ndew {name}", ["mirror", "--input", witness])
-        for m, n in BELL_SIZES:
-            rho = os.path.join(tmp, f"bell{m}x{n}.json")
-            linalg.write_operator(
-                rho, states.pure_from_schmidt([2**-0.5] * 2, m, n).projector()
-            )
-            certificate = run(f"detect bell{m}x{n}", ["detect", "--input", rho])
-            run(f"report detect bell{m}x{n}", ["report", "--input", certificate])
+        sigma, witness = ndew_files["gamma"]
+        for restarts in BAD_RESTARTS:
+            for argv in (["blockpos", "--mode", "verdict", "--input", witness],
+                         ["mirror", "--input", witness],
+                         ["ndew", "--input", sigma]):
+                run(f"{argv[0]} --restarts {restarts} gamma",
+                    [*argv, "--restarts", restarts])
+        p4 = sum(np.outer(v, v.conj()) for v in states.tiles_upb_vectors()[:4])
+        sigma4 = os.path.join(tmp, "tiles4.json")
+        linalg.write_operator(
+            sigma4, linalg.BipartiteOperator(3, 3, (np.eye(9) - p4) / 5.0)
+        )
+        run("ndew tiles4", ["ndew", "--input", sigma4])
+        detect_inputs = (
+            ("bell3x3", states.pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()),
+            ("bell2x4", states.pure_from_schmidt([2**-0.5] * 2, 2, 4).projector()),
+            ("qutrit_bell3x3",
+             states.pure_from_schmidt([3**-0.5] * 3, 3, 3).projector()),
+            ("wishart3x3",
+             states.random_state("density_wishart", 3, 3, rank=9, seed=2000)),
+        )
+        for name, state in detect_inputs:
+            rho = os.path.join(tmp, f"{name}.json")
+            linalg.write_operator(rho, state)
+            certificate = run(f"detect {name}", ["detect", "--input", rho])
+            run(f"report detect {name}", ["report", "--input", certificate])
         for name in states.CANONICAL_NAMES:
             run(f"state {name}", ["state", "--name", name])
         for name, params in STATE_PARAMS:
