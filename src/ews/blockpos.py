@@ -278,43 +278,3 @@ def zero_pattern_check(op: BipartiteOperator) -> list[ZeroPatternViolation]:
                         )
     return out
 
-
-def product_vector_grid(m: int, n: int, count: int = 10_000) -> list:
-    """Deterministic grid of roughly `count` unit product vectors, used as a
-    brute-force cross-check of the see-saw optimum."""
-    per_side = max(2, int(round(np.sqrt(count))))
-    side_a = _unit_grid(m, per_side)
-    side_b = _unit_grid(n, per_side)
-    return [(a, b) for a in side_a for b in side_b]
-
-
-def _unit_grid(dim: int, target: int) -> list[np.ndarray]:
-    if dim == 2:
-        k_theta = max(3, int(np.sqrt(target)))
-        k_phase = max(3, target // k_theta)
-        thetas = np.linspace(0.0, np.pi / 2.0, k_theta)
-        phases = np.linspace(0.0, 2.0 * np.pi, k_phase, endpoint=False)
-        return [
-            np.array([np.cos(t), np.exp(1j * p) * np.sin(t)])
-            for t in thetas
-            for p in phases
-        ]
-    # d >= 3: real-angle simplex grid with one phase sweep on the last entry
-    k = max(2, int(round(target ** (1.0 / dim))))
-    angles = np.linspace(0.0, np.pi / 2.0, k)
-    phases = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
-    out = []
-    for t1 in angles:
-        for t2 in angles:
-            for p in phases:
-                v = np.zeros(dim, dtype=complex)
-                v[0] = np.cos(t1)
-                v[1] = np.sin(t1) * np.cos(t2)
-                v[2] = np.sin(t1) * np.sin(t2) * np.exp(1j * p)
-                out.append(v)
-    # include the remaining basis directions so every coordinate is reachable
-    for i in range(3, dim):
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        out.append(v)
-    return out

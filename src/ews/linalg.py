@@ -130,8 +130,10 @@ class BipartiteOperator:
 
     def normalized(self) -> "BipartiteOperator":
         tr = self.trace()
-        if abs(tr) < 1e-14:
-            raise BadParamError("cannot normalize a traceless operator")
+        if tr < 1e-14:
+            raise BadParamError(
+                f"cannot normalize an operator with non-positive trace {tr:.6g}"
+            )
         return BipartiteOperator(self.m, self.n, self.mat / tr)
 
 

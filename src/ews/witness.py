@@ -315,8 +315,9 @@ def mirror(
     w: Witness, restarts: int = blockpos.DEFAULT_RESTARTS, seed: int = 0
 ) -> MirrorResult:
     """Mirror operator mu I - W with mu the largest product-vector
-    expectation of W.  The mirror is itself a witness only when the top
-    eigenvalue of W exceeds mu and the mirror stays block-positive."""
+    expectation of W.  The mirror is a witness candidate exactly when it
+    fails the PSD rule (`linalg.is_psd`), that is when the top eigenvalue
+    of W exceeds mu; it is a witness when it also stays block-positive."""
     if w.class_tag == TAG_UNCLASSIFIED:
         bp = blockpos.is_block_positive(w.op, restarts=restarts, seed=seed)
         if bp.status == "no":
@@ -325,14 +326,11 @@ def mirror(
     mu = opt.value
     d = w.op.dim
     w_m = BipartiteOperator(w.m, w.n, mu * np.eye(d, dtype=complex) - w.op.mat)
-    lam1_w = eig_hermitian(w.op.mat).values[0]
     if linalg.is_psd(w_m.mat):
         verdict = "mirror-PSD"
-    elif lam1_w > mu + 1e-9:
+    else:
         check = blockpos.is_block_positive(w_m, restarts=restarts, seed=seed)
         verdict = "mirror-EW" if check.status.startswith("yes") else "inconclusive"
-    else:
-        verdict = "inconclusive"
     return MirrorResult(mu=float(mu), w_m=w_m, verdict=verdict, opt=opt)
 
 
@@ -548,6 +546,11 @@ def detect_npt(
     filtered state, and pull the result back through the inverse filters.
     The certificate stores tr(W rho) < 0 together with the construction
     trail and the base witness's margin evidence.
+
+    A degenerate bottom eigenvalue leaves psi, and so the filter, to
+    LAPACK's basis of its eigenspace; the base follows only the Schmidt
+    rank, which is 2 on the whole (antisymmetric) bottom eigenspace of the
+    qutrit Bell state, so that state always takes `gamma1`.
 
     The base witness is built once per (base, restarts) in a process, at
     see-saw seed 0, so `seed` does not change the detection result; it is

@@ -8,7 +8,6 @@ from ews.blockpos import (
     is_block_positive,
     product_expectation_max,
     product_expectation_min,
-    product_vector_grid,
     product_vector_in_subspace,
     zero_pattern_check,
 )
@@ -70,13 +69,24 @@ class TestSeesawMin:
             opt = product_expectation_min(op, restarts=8, seed=5)
             assert vals[-1] - 1e-10 <= opt.value <= vals[0] + 1e-10
 
-    def test_grid_oracle(self):
-        op = random_bipartite(2, 2)
-        opt = product_expectation_min(op, restarts=32, seed=6)
-        grid_min = min(
-            product_expectation(op, a, b) for a, b in product_vector_grid(2, 2, 2500)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_qubit_scan_oracle(self, n):
+        # for a fixed qubit vector a the minimum over b of <a,b|W|a,b> is the
+        # bottom eigenvalue of <a|W|a>, so scanning a over a 2500-point
+        # Fibonacci grid of the Bloch sphere is exact on the other side
+        op = random_bipartite(2, n, np.random.default_rng(600 + n))
+        count = 2500
+        k = np.arange(count) + 0.5
+        theta = np.arccos(1.0 - 2.0 * k / count)
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+        a = np.stack(
+            [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
         )
-        assert opt.value <= grid_min + 1e-6
+        w4 = op.mat.reshape(2, n, 2, n)
+        reduced = np.einsum("ri,ijkl,rk->rjl", a.conj(), w4, a)
+        scan_min = float(np.linalg.eigvalsh(reduced)[:, 0].min())
+        opt = product_expectation_min(op, restarts=32, seed=6)
+        assert scan_min - 1e-2 <= opt.value <= scan_min + 1e-9
 
     def test_pt_symmetry(self):
         op = random_bipartite(2, 3)

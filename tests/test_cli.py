@@ -11,7 +11,7 @@ import ews
 from ews import verify, witness
 from ews.cli import build_parser, main
 from ews.errors import BadParamError
-from ews.linalg import read_operator, write_operator
+from ews.linalg import BipartiteOperator, read_operator, write_operator
 from ews.states import pure_from_schmidt
 
 
@@ -194,6 +194,16 @@ def test_mirror_command(tmp_path, capsys):
     payload = json.loads(out)
     assert abs(payload["mu"] - 0.5) < 1e-8
     assert payload["verdict"] == "mirror-PSD"
+
+
+def test_mirror_rejects_a_negative_trace(tmp_path, capsys):
+    # -W for the transposed Bell projector W: normalizing would mirror W
+    w = witness.pure_pt_witness(pure_from_schmidt([2**-0.5] * 2, 2, 2))
+    path = str(tmp_path / "neg_w.json")
+    write_operator(path, BipartiteOperator(2, 2, -w.op.mat))
+    code, out, err = run(["mirror", "--input", path], capsys)
+    assert (code, out) == (2, "")
+    assert "non-positive trace" in err
 
 
 def test_ndew_and_detect_commands(tmp_path, capsys):

@@ -384,6 +384,17 @@ def test_malformed_operators_raise_a_typed_error():
         embed_operator(op, 3, 1)
 
 
+def test_normalized_rejects_a_negative_trace():
+    # -W for the transposed Bell projector W: dividing by its trace -1 would
+    # return W, an operator other than the input
+    bell = np.zeros(4)
+    bell[[0, 3]] = 2**-0.5
+    w = pt_mat(np.outer(bell, bell).astype(complex), 2, 2)
+    with pytest.raises(BadParamError, match="non-positive trace -1"):
+        BipartiteOperator(2, 2, -w).normalized()
+    assert np.allclose(BipartiteOperator(2, 2, 2.0 * w).normalized().mat, w)
+
+
 @pytest.mark.parametrize("m, n", [(-2, -2), (0, 3), (3, 0)])
 def test_bipartite_operator_rejects_non_positive_sizes(m, n):
     d = max(m * n, 0)

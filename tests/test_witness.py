@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ews import witness
+from ews import blockpos, linalg, witness
 from ews.errors import (
     BadParamError,
     EpsilonVanishesError,
@@ -207,6 +207,37 @@ class TestMirror:
         assert res.verdict == "mirror-PSD"
         assert eig_hermitian(res.w_m.mat).values[-1] >= -1e-10
 
+    @pytest.mark.parametrize(
+        "status, verdict",
+        [("yes-heuristic", "mirror-EW"), ("no", "inconclusive"),
+         ("inconclusive", "inconclusive")],
+    )
+    def test_non_psd_mirror_is_judged_by_block_positivity(
+        self, monkeypatch, status, verdict
+    ):
+        # mu = lambda_1(W) - 5e-10 leaves the mirror just short of PSD
+        w = pure_pt_witness(max_entangled(2, 2))
+        lam1 = eig_hermitian(w.op.mat).values[0]
+        exact = blockpos.product_expectation_max
+
+        def shifted(op, restarts, seed):
+            opt = exact(op, restarts=restarts, seed=seed)
+            opt.value = lam1 - 5e-10
+            return opt
+
+        judged = []
+
+        def spy(op, restarts, seed):
+            judged.append(op)
+            return blockpos.BlockPositivityVerdict(status, None, restarts, 0, 0, 0)
+
+        monkeypatch.setattr(blockpos, "product_expectation_max", shifted)
+        monkeypatch.setattr(blockpos, "is_block_positive", spy)
+        res = mirror(w, restarts=8, seed=0)
+        assert not linalg.is_psd(res.w_m.mat)
+        assert judged == [res.w_m]
+        assert res.verdict == verdict
+
     def test_rejects_non_block_positive(self):
         # unit trace, but <11|W|11> = -3/2 on a product vector
         w = Witness(
@@ -355,6 +386,21 @@ class TestDetectNpt:
         # the bottom eigenvector of the transposed projector is an
         # antisymmetric pair vector, so the rank-2 branch fires
         assert cert.pipeline["schmidt_rank"] == 2
+
+    def test_qutrit_bell_bottom_eigenspace_has_schmidt_rank_two(self):
+        # the -1/3 eigenspace of PT(|Phi_3><Phi_3|) is antisymmetric: every
+        # vector in it has an antisymmetric 3x3 coefficient matrix, hence
+        # Schmidt rank 2, so the base does not depend on LAPACK's basis
+        rho = max_entangled(3, 3).projector()
+        eig = eig_hermitian(pt_mat(rho.mat, 3, 3))
+        space = eig.vectors[:, np.abs(eig.values + 1.0 / 3.0) < 1e-10]
+        assert space.shape[1] == 3
+        rng = np.random.default_rng(23)
+        coeffs = rng.standard_normal((3, 200)) + 1j * rng.standard_normal((3, 200))
+        vecs = space @ coeffs
+        vecs /= np.linalg.norm(vecs, axis=0)
+        assert {PureState.from_vector(v, 3, 3).rank for v in vecs.T} == {2}
+        assert detect_npt(rho, restarts=64, seed=3).pipeline["base"] == "gamma1"
 
     def test_qubit_times_four(self):
         rho = pure_from_schmidt([2**-0.5] * 2, 2, 4).projector()

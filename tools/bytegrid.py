@@ -12,7 +12,7 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 350 entries.  270 suite entries cover all eight suites:
+The grid has 353 entries.  270 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -37,11 +37,14 @@ each ``detect`` output; and ``blockpos --mode verdict``, ``mirror`` and
 output, so its digest covers empty bytes and its exit code; an uncaught
 exception stands in for the exit code by its type name.
 
-50 more CLI entries cover the named states and the size checks: ``state``
-for every canonical name at its defaults (12); ``state`` with each
-parameter varied, a key the state does not take, and the sizes m=2.5 n=3.9,
-l=1.5 and m=3.0 (28); ``family`` at 2x2 and 3x3 (2); and ``verify`` of
-every suite at the trivial size (1,1) with 3 samples (8).
+53 more CLI entries cover the named states, the mirror rule and the size
+checks: ``state`` for every canonical name at its defaults (12); ``state``
+with each parameter varied, a key the state does not take, and the sizes
+m=2.5 n=3.9, l=1.5 and m=3.0 (28); ``family`` twice at 2x2 (one of them
+the transposed Bell projector) and once at 3x3 (3); ``mirror`` on that
+transposed Bell projector, whose mirror is PSD, and on its negation, whose
+trace is -1 (2); and ``verify`` of every suite at the trivial size (1,1)
+with 3 samples (8).
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ STATE_PARAMS = (
 FAMILY_ARGS = (
     "--a 0.25 --b 0.25 --c 0.25 --d 0.25 --m 2 --n 2".split(),
     "--a 0.2 --b 0.4 --c 0.2 --d 0.2 --m 3 --n 3".split(),
+    "--a 0 --b 1 --c 0 --d 0".split(),
 )
 
 
@@ -170,7 +174,13 @@ def cli_digests() -> dict:
             run(f"state {name} {' '.join(params)}",
                 ["state", "--name", name, *(a for p in params for a in ("--param", p))])
         for argv in FAMILY_ARGS:
-            run(f"family {' '.join(argv)}", ["family", *argv])
+            family = run(f"family {' '.join(argv)}", ["family", *argv])
+        # the last family output is the transposed Bell projector
+        run("mirror family bell", ["mirror", "--input", family])
+        negated = os.path.join(tmp, "neg_bell.json")
+        bell = linalg.read_operator(family)
+        linalg.write_operator(negated, linalg.BipartiteOperator(2, 2, -bell.mat))
+        run("mirror negated bell", ["mirror", "--input", negated])
         for suite in verify.SUITE_NAMES:
             run(f"verify {suite} (1,1)",
                 ["verify", "--suite", suite, "--m", "1", "--n", "1", "--samples", "3"])
