@@ -74,7 +74,14 @@ def _extreme_eigvec(h: np.ndarray, mode: str):
 def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptResult:
     """All restarts step together; a restart leaves the live set once its
     value moves by less than SEESAW_VALUE_TOL.  Fewer than one restart is
-    a search that never runs and raises BadParamError."""
+    a search that never runs and raises BadParamError.
+
+    The live restarts' vectors and values are carried from one iteration
+    to the next; a restart's vectors and value are written into the
+    per-restart arrays only in the iteration it converges.  Restarts still
+    live at SEESAW_ITER_CAP are dropped, since only converged restarts
+    enter the result.
+    """
     if restarts < 1:
         raise BadParamError(f"restarts must be at least 1, got {restarts}")
     m, n = op.m, op.n
@@ -83,35 +90,41 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
 
     # restart r starts from a Haar vector a drawn from default_rng(seed ^ r);
     # the first half-step overwrites b
-    a = np.array(
+    a_live = np.array(
         [haar_vector(m, np.random.default_rng(seed ^ r)) for r in range(restarts)],
         dtype=complex,
     ).reshape(restarts, m)
-    b = np.zeros((restarts, n), dtype=complex)
-    vals = np.full(restarts, sign * np.inf)
+    a = np.empty_like(a_live)
+    b = np.empty((restarts, n), dtype=complex)
+    vals = np.empty(restarts)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
+    prev = np.full(restarts, sign * np.inf)
     total_iters = 0
     for _ in range(SEESAW_ITER_CAP):
-        if live.size == 0:
-            break
         total_iters += live.size
-        _, b_live = _extreme_eigvec(_reduced_on_b(w4, a[live]), mode)
+        _, b_live = _extreme_eigvec(_reduced_on_b(w4, a_live), mode)
         val, a_live = _extreme_eigvec(_reduced_on_a(w4, b_live), mode)
-        prev = vals[live]
+        delta = sign * (val - prev)
         # each half-step is an exact local optimization, so the value
-        # sequence must be monotone up to roundoff
-        wrong = ~((sign * val < sign * prev) | (np.abs(val - prev) <= 1e-9))
+        # sequence must be monotone up to roundoff; NaN fails this too
+        wrong = ~(delta <= 1e-9)
         if wrong.any():
             i = int(np.argmax(wrong))
             raise NoConvergenceError(
                 f"see-saw {mode} value moved the wrong way: "
                 f"{float(prev[i])!r} -> {float(val[i])!r}"
             )
-        done = np.abs(val - prev) < SEESAW_VALUE_TOL
-        a[live], b[live], vals[live] = a_live, b_live, val
-        converged[live[done]] = True
-        live = live[~done]
+        done = np.abs(delta) < SEESAW_VALUE_TOL
+        if done.any():
+            idx = live[done]
+            a[idx], b[idx], vals[idx] = a_live[done], b_live[done], val[done]
+            converged[idx] = True
+            keep = ~done
+            live, a_live, val = live[keep], a_live[keep], val[keep]
+            if live.size == 0:
+                break
+        prev = val
     if not converged.any():
         raise NoConvergedRestartError(
             f"none of {restarts} restarts converged within {SEESAW_ITER_CAP} iterations"

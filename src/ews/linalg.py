@@ -9,6 +9,7 @@ as row i*n + j (0-based).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -23,6 +24,10 @@ from .errors import (
 
 # Hermiticity defect allowed relative to max(1, ||H||_F).
 HERM_RTOL = 1e-12
+# Half the squared tolerance: a sum of squares in floating point falls
+# short of its largest term by far less than a factor of two, so the fast
+# path of require_hermitian never accepts an entry the exact rule rejects.
+_FAST_DEFECT_SQ = HERM_RTOL**2 / 2
 # An eigenvalue counts as negative below -NEG_EIG_TOL * max(1, ||H||_F).
 NEG_EIG_TOL = 1e-10
 # Singular values below SV_TRUNC_RTOL * ||M||_F are truncated to zero.
@@ -38,10 +43,23 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
 
     Each matrix may deviate from its conjugate transpose by at most
     HERM_RTOL * max(1, ||H||_F) entrywise.
+
+    A one-pass fast path only ever accepts: when sum |h_ij|^2 over the
+    whole stack is finite (so is every entry) and sum |d_ij|^2 of the
+    defect d = H - H^dag is at most HERM_RTOL^2 / 2, every entrywise
+    defect lies below the smallest tolerance any matrix gets, with room
+    for the rounding of the sum.  Both sums are BLAS dot products, which
+    set no floating-point flags, so non-finite input warns nothing.
+    Every rejection, and every input the fast path does not settle
+    (such as a sum that overflows), goes through the exact rule below.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
+    if math.isfinite(np.vdot(h, h).real):
+        d = h - h.swapaxes(-1, -2).conj()
+        if np.vdot(d, d).real <= _FAST_DEFECT_SQ:
+            return h
     if not np.isfinite(h).all():
         raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
     defect = np.abs(h - h.swapaxes(-1, -2).conj())

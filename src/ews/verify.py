@@ -372,6 +372,11 @@ def _kernel_pt_floor(sigma: BipartiteOperator) -> float:
 
 
 def _suite_ndew_constructions(m, n, samples, seed):
+    # the paper fixes its states' sizes (rho_b 2x4, rho_a and gamma 3x3)
+    if (m, n) != (3, 3):
+        raise BadParamError(
+            f"ndew_constructions runs at its default size (3, 3) only, got ({m}, {n})"
+        )
     checks = []
 
     for name, ctor, values in (
@@ -570,9 +575,9 @@ def run_suite(
     """Execute a registered suite; failing checks are recorded, never raised.
 
     samples=None selects the suite's default count; otherwise it must be
-    at least 1.  m and n must both be at least 2.  The report records the
-    requested (m, n) even where a suite runs fixed sizes:
-    ndew_constructions and mirror_conditions ignore m and n,
+    at least 1.  m and n must both be at least 2, and ndew_constructions
+    accepts only (3, 3).  The report records the requested (m, n) even
+    where a suite runs fixed sizes: mirror_conditions ignores m and n,
     dew_attainability uses them only for its transposed Bell projector, and
     absolute_ppt checks its pairing bound at 3x3 whatever the size.
     """

@@ -435,7 +435,11 @@ def boost_witness(w: Witness, psi: PureState, t: float = 1.0) -> Witness:
         raise BadParamError("boost requires a certified witness with a stored state")
     if t < 0:
         raise BadParamError(f"t={t} must be non-negative")
-    pt_psi = _pt_projector(psi)
+    return _boost(w, _pt_projector(psi), t)
+
+
+def _boost(w: Witness, pt_psi: np.ndarray, t: float) -> Witness:
+    """`boost_witness` along an already transposed projector `pt_psi`."""
     overlap = float(np.trace(pt_psi @ w.detected_state.mat).real)
     if abs(overlap) > 1e-10:
         raise OrthogonalityError(
@@ -582,14 +586,15 @@ def detect_npt(
     )
 
     psi_d = PureState.from_vector(_psi_d_vector(m, n, d), m, n)
-    carrier = float(np.trace(_pt_projector(psi_d) @ rho_prime.mat).real)
+    pt_psi_d = _pt_projector(psi_d)
+    carrier = float(np.trace(pt_psi_d @ rho_prime.mat).real)
     if carrier >= -1e-10:
         raise BoostDenominatorError(
             f"filtered state barely overlaps the boost direction: {carrier:.3e}"
         )
     base_expect = float(np.trace(base_pad.op.mat @ rho_prime.mat).real)
     t = 2.0 * abs(base_expect) / abs(carrier) + 1.0
-    boosted = boost_witness(base_pad, psi_d, t=t)
+    boosted = _boost(base_pad, pt_psi_d, t)
 
     w_final = BipartiteOperator(m, n, _conjugated(f.conj().T, boosted.op.mat))
     certified_state = BipartiteOperator(

@@ -123,6 +123,24 @@ class TestSeesawMin:
             product_expectation_min(random_bipartite(2, 2), restarts=2, seed=1)
 
 
+    def test_nan_value_counts_as_moving_the_wrong_way(self, monkeypatch):
+        # calls alternate b and a half-steps and the loop reads the value of
+        # the a half-step, so the 4th call is the second value it judges
+        calls = itertools.count(1)
+        exact = blockpos.eig_hermitian
+
+        def nan_on_fourth(h):
+            eig = exact(h)
+            if next(calls) == 4:
+                eig.values[:, -1] = np.nan
+            return eig
+
+        monkeypatch.setattr(blockpos, "eig_hermitian", nan_on_fourth)
+        with pytest.raises(NoConvergenceError, match="moved the wrong way") as exc:
+            product_expectation_min(random_bipartite(2, 2), restarts=2, seed=1)
+        assert str(exc.value).endswith("-> nan")
+
+
 # neither this operator nor its partial transpose is PSD, so a verdict on
 # it needs the see-saw
 _NOT_PSD = BipartiteOperator(2, 2, np.diag([1.5, 0.5, 0.5, -1.5]).astype(complex))

@@ -308,6 +308,16 @@ def test_verify_npt_detection_without_base_witness_exits_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("m,n", [(4, 5), (2, 4), (3, 4)])
+def test_verify_ndew_constructions_off_its_size_exits_2(m, n, capsys):
+    code, out, err = run(
+        ["verify", "--suite", "ndew_constructions", "--m", str(m), "--n", str(n)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert f"runs at its default size (3, 3) only, got ({m}, {n})" in err
+
+
 def test_verify_zero_samples_exits_2(capsys):
     code, out, _ = run(
         ["verify", "--suite", "dew_bounds", "--m", "2", "--n", "2",

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -95,14 +96,18 @@ class TestEigHermitian:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite(self, bad):
-        h = np.eye(4, dtype=complex)
-        h[1, 1] = bad
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(h)
-        with pytest.raises(NotHermitianError):
-            negativity(h)
-        with pytest.raises(NotHermitianError):
-            BipartiteOperator(2, 2, h)
+        # on the diagonal, and at both mirrored off-diagonal positions; the
+        # rejection must come without a floating-point RuntimeWarning
+        for where in ([(1, 1)], [(0, 2), (2, 0)]):
+            h = np.eye(4, dtype=complex)
+            for ij in where:
+                h[ij] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in (eig_hermitian, negativity,
+                             lambda x: BipartiteOperator(2, 2, x)):
+                    with pytest.raises(NotHermitianError, match="non-finite"):
+                        call(h)
 
     def test_stack_matches_per_matrix_calls(self):
         for k in (2, 3, 6):

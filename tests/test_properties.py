@@ -1,11 +1,23 @@
 """Property tests over seeded random operators."""
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ews.blockpos import product_expectation_max, product_expectation_min
-from ews.linalg import BipartiteOperator, eig_hermitian, fro_norm, kron, pt_mat
+from ews.errors import NotHermitianError
+from ews.linalg import (
+    HERM_RTOL,
+    BipartiteOperator,
+    eig_hermitian,
+    fro_norm,
+    kron,
+    pt_mat,
+    require_hermitian,
+)
 from ews.states import PureState, haar_unitary
 from ews.witness import bound_table, sample_dew, spectral_report
 
@@ -80,3 +92,61 @@ def test_schmidt_round_trip_near_rank_deficiency(log_s, seed):
     assert psi.rank == 2
     assert abs(psi.coeffs[1] / psi.coeffs[0] - s) <= 1e-12
     assert np.linalg.norm(psi.to_vector() - v) < 1e-12
+
+
+def _reference_rejection(h):
+    """The Hermiticity rule matrix by matrix and entry by entry: the
+    message `require_hermitian` must raise, or None to accept."""
+    if not all(np.isfinite(z.real) and np.isfinite(z.imag) for z in h.flat):
+        return "matrix has non-finite (NaN or Inf) entries"
+    worst = None
+    for mat in h:
+        k = mat.shape[0]
+        defect = max(abs(mat[i, j] - mat[j, i].conjugate())
+                     for i in range(k) for j in range(k))
+        if defect > HERM_RTOL * max(1.0, np.linalg.norm(mat)):
+            worst = defect if worst is None else max(worst, defect)
+    if worst is None:
+        return None
+    return f"Hermiticity defect {worst:.3e} exceeds tolerance"
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Stacks of 1-4 Hermitian matrices of size 1-5, scaled 1e-3 to 1e3,
+    each maybe given one defect near its tolerance, and maybe a NaN or
+    Inf entry somewhere in the stack."""
+    count = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(seeds))
+    g = rng.standard_normal((count, k, k)) + 1j * rng.standard_normal((count, k, k))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    h = scale * (g + g.swapaxes(-1, -2).conj()) / 2.0
+    for mat in h:
+        factor = draw(st.sampled_from([None, 0.5, 0.99, 1.01, 2.0]))
+        if factor is None:
+            continue
+        tol = HERM_RTOL * max(1.0, np.linalg.norm(mat))
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        # an off-diagonal shift is all defect; on the diagonal an imaginary
+        # shift of x makes a defect of 2x
+        mat[i, j] += factor * tol if i != j else 0.5j * factor * tol
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        pos = tuple(draw(st.integers(0, s - 1)) for s in h.shape)
+        z = h[pos]
+        h[pos] = complex(bad, z.imag) if draw(st.booleans()) else complex(z.real, bad)
+    return h
+
+
+@given(h=hermitian_stacks())
+def test_require_hermitian_matches_the_reference_rule(h):
+    expected = _reference_rejection(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            assert require_hermitian(h) is not None
+        else:
+            with pytest.raises(NotHermitianError) as exc:
+                require_hermitian(h)
+            assert str(exc.value) == expected

@@ -431,6 +431,22 @@ class TestDetectNpt:
         first = certs[0].witness.op.mat.tobytes()
         assert all(c.witness.op.mat.tobytes() == first for c in certs)
 
+    def test_boost_direction_transposed_once(self, monkeypatch):
+        rho = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()
+        first = detect_npt(rho, restarts=64, seed=3)  # warms the base cache
+        calls = []
+        exact = witness._pt_projector
+
+        def counting(psi):
+            calls.append(psi)
+            return exact(psi)
+
+        monkeypatch.setattr(witness, "_pt_projector", counting)
+        again = detect_npt(rho, restarts=64, seed=3)
+        assert len(calls) == 1
+        assert again.witness.op.mat.tobytes() == first.witness.op.mat.tobytes()
+        assert again.pipeline == first.pipeline
+
     def test_pipeline_carries_base_margin_evidence(self):
         rho = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()
         cert = detect_npt(rho, restarts=64, seed=3)
