@@ -253,41 +253,20 @@ def zero_pattern_check(op: BipartiteOperator) -> list[ZeroPatternViolation]:
     """
     m, n = op.m, op.n
     blocks = op.mat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
-    out: list[ZeroPatternViolation] = []
-    for k in range(m):
-        if np.linalg.norm(blocks[k, k]) < 1e-10:
-            for j in range(m):
-                if j == k:
-                    continue
-                nrm = float(np.linalg.norm(blocks[k, j]))
-                if nrm > 1e-9:
-                    out.append(
-                        ZeroPatternViolation(
-                            rule="zero-diagonal-block",
-                            block=(k, j),
-                            inner_index=None,
-                            norm=nrm,
-                        )
-                    )
-    for k in range(n):
-        if all(abs(blocks[i, i][k, k]) < 1e-10 for i in range(m)):
-            for i in range(m):
-                for j in range(m):
-                    nrm = float(
-                        np.sqrt(
-                            np.sum(np.abs(blocks[i, j][k, :]) ** 2)
-                            + np.sum(np.abs(blocks[i, j][:, k]) ** 2)
-                            - abs(blocks[i, j][k, k]) ** 2
-                        )
-                    )
-                    if nrm > 1e-9:
-                        out.append(
-                            ZeroPatternViolation(
-                                rule="zero-diagonal-entry",
-                                block=(i, j),
-                                inner_index=k,
-                                norm=nrm,
-                            )
-                        )
-    return out
+    norms = np.linalg.norm(blocks, axis=(2, 3))
+    hit = (np.diag(norms) < 1e-10)[:, None] & (norms > 1e-9) & ~np.eye(m, dtype=bool)
+    out = [
+        ZeroPatternViolation("zero-diagonal-block", (k, j), None, float(norms[k, j]))
+        for k, j in np.argwhere(hit).tolist()
+    ]
+    # inner[k, i, j]: norm of row and column k of block (i, j), entry (k, k) once
+    sq = np.abs(blocks) ** 2
+    inner = np.sqrt(sq.sum(axis=3) + sq.sum(axis=2) - np.diagonal(sq, axis1=2, axis2=3))
+    inner = inner.transpose(2, 0, 1)
+    dead = (np.abs(np.einsum("iikk->ik", blocks)) < 1e-10).all(axis=0)
+    hit = dead[:, None, None] & (inner > 1e-9)
+    return out + [
+        ZeroPatternViolation("zero-diagonal-entry", (i, j), k, float(inner[k, i, j]))
+        for k, i, j in np.argwhere(hit).tolist()
+    ]
 

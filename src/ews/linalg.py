@@ -62,18 +62,13 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
             return h
     if not np.isfinite(h).all():
         raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
-    defect = np.abs(h - h.swapaxes(-1, -2).conj())
-    # HERM_RTOL is the smallest tolerance any matrix gets, so per-matrix
-    # defects and norms are only needed once some entry exceeds it
-    if defect.max() > HERM_RTOL:
-        defect = defect.max(axis=(-2, -1))
+    defect = np.abs(h - h.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # an overflowing norm gives an infinite tolerance
         tol = HERM_RTOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
-        bad = defect > tol
-        if bad.any():
-            worst = np.max(defect, where=bad, initial=0.0)
-            raise NotHermitianError(
-                f"Hermiticity defect {worst:.3e} exceeds tolerance"
-            )
+    bad = defect > tol
+    if bad.any():
+        worst = np.max(defect, where=bad, initial=0.0)
+        raise NotHermitianError(f"Hermiticity defect {worst:.3e} exceeds tolerance")
     return h
 
 

@@ -140,14 +140,10 @@ def pt_spectrum_pure(psi: PureState) -> np.ndarray:
     +/- a_i a_j for each pair i < j, and mn - d^2 zeros.
     """
     a = psi.coeffs
-    d = len(a)
-    vals = list(a * a)
-    for i in range(d):
-        for j in range(i + 1, d):
-            vals.append(a[i] * a[j])
-            vals.append(-a[i] * a[j])
-    vals.extend([0.0] * (psi.m * psi.n - d * d))
-    return np.sort(np.asarray(vals))[::-1]
+    i, j = np.triu_indices(len(a), 1)
+    pairs = a[i] * a[j]
+    zeros = np.zeros(psi.m * psi.n - len(a) ** 2)
+    return np.sort(np.concatenate([a * a, pairs, -pairs, zeros]))[::-1]
 
 
 # ---------------------------------------------------------------------------

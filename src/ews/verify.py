@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import states, witness
-from .errors import BadParamError, EwsError, UnknownSuiteError
+from .errors import BadParamError, EwsError, IsPPTError, UnknownSuiteError
 from .linalg import (
     BipartiteOperator,
     eig_hermitian,
@@ -470,27 +470,25 @@ def _suite_npt_detection(m, n, samples, seed):
                    expect, "<", 0.0, DETECT_TOL, note)
         )
 
-    failures = 0
-    n_npt = 0
-    worst = 0.0
-    notes = []
+    errors = 0
+    expectations, notes = [], []
     for i in range(samples):
         rho = states.random_state(
             "density_wishart", m, n, rank=m * n, seed=_sample_seed(seed, i)
         )
-        if states.is_ppt(rho):
-            continue
-        n_npt += 1
         try:
-            cert = detect_npt(rho)
-            worst = max(worst, cert.expectation)
-            if cert.expectation >= -DETECT_TOL:
-                failures += 1
+            expectations.append(detect_npt(rho).expectation)
+        except IsPPTError:
+            continue
         except EwsError as exc:
-            failures += 1
+            errors += 1
             if len(notes) < 3:
                 notes.append(repr(exc))
-    note = f"{n_npt} NPT of {samples} samples; worst expectation {worst:.3e}"
+    n_npt = errors + len(expectations)
+    failures = errors + sum(e >= -DETECT_TOL for e in expectations)
+    worst = (f"worst expectation {max(expectations):.3e}" if expectations
+             else "no certificate")
+    note = f"{n_npt} NPT of {samples} samples; {worst}"
     checks.append(
         Check("detect_wishart_battery",
               f"every sampled NPT state at ({m},{n}) is certified",

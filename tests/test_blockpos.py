@@ -5,6 +5,7 @@ import pytest
 
 from ews import blockpos, witness
 from ews.blockpos import (
+    ZeroPatternViolation,
     is_block_positive,
     product_expectation_max,
     product_expectation_min,
@@ -385,3 +386,33 @@ class TestZeroPattern:
         assert any(
             v.rule == "zero-diagonal-entry" and v.inner_index == 1 for v in violations
         )
+
+    def test_two_vanishing_diagonal_blocks_at_3x3(self):
+        # blocks (0,0) and (2,2) vanish; (0,1) and (2,1) are coupled to the
+        # nonzero block (1,1), while (0,2) stays zero
+        mat = np.zeros((9, 9), dtype=complex)
+        mat[3:6, 3:6] = np.eye(3)
+        mat[0, 3] = 0.5
+        mat[3, 6], mat[4, 7] = 3.0, 4.0j
+        mat = mat + np.triu(mat, 1).conj().T
+        assert zero_pattern_check(BipartiteOperator(3, 3, mat)) == [
+            ZeroPatternViolation("zero-diagonal-block", (0, 1), None, 0.5),
+            ZeroPatternViolation("zero-diagonal-block", (2, 1), None, 5.0),
+        ]
+
+    def test_inner_index_vanishing_in_both_diagonal_blocks_at_2x3(self):
+        # inner index 1 has a zero diagonal entry in blocks (0,0) and (1,1)
+        # but is coupled inside block (0,0) and across blocks (0,1), (1,0)
+        mat = np.diag([1.0, 0.0, 1.0, 2.0, 0.0, 1.0]).astype(complex)
+        mat[0, 1] = mat[1, 0] = 4.0
+        mat[1, 5] = mat[5, 1] = 3.0
+        assert zero_pattern_check(BipartiteOperator(2, 3, mat)) == [
+            ZeroPatternViolation("zero-diagonal-entry", (0, 0), 1, float(np.sqrt(32.0))),
+            ZeroPatternViolation("zero-diagonal-entry", (0, 1), 1, 3.0),
+            ZeroPatternViolation("zero-diagonal-entry", (1, 0), 1, 3.0),
+        ]
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 4)])
+    def test_transposed_bell_witness_clean(self, m, n):
+        w = witness.pure_pt_witness(max_entangled(m, n))
+        assert zero_pattern_check(w.op) == []

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ews.blockpos import product_expectation_max, product_expectation_min
+from ews.blockpos import (
+    product_expectation_max,
+    product_expectation_min,
+    zero_pattern_check,
+)
 from ews.errors import NotHermitianError
 from ews.linalg import (
     HERM_RTOL,
@@ -150,3 +154,42 @@ def test_require_hermitian_matches_the_reference_rule(h):
             with pytest.raises(NotHermitianError) as exc:
                 require_hermitian(h)
             assert str(exc.value) == expected
+
+
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]),
+    rule=st.sampled_from(["zero-diagonal-block", "zero-diagonal-entry"]),
+    transpose=st.booleans(),
+    data=st.data(),
+    seed=seeds,
+)
+def test_zero_pattern_of_psd_and_transposed_psd(dims, rule, transpose, data, seed):
+    """G G^dag, and its partial transpose, with the rows of G for one block
+    (or one inner index in every block) zeroed, is block positive, so its
+    zero pattern holds; one injected entry in a zeroed row is reported."""
+    m, n = dims
+    d = m * n
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    block, inner = divmod(np.arange(d), n)
+    if rule == "zero-diagonal-block":
+        k = data.draw(st.integers(0, m - 1))
+        zeroed, inner_index = block == k, None
+        cols = np.flatnonzero(block != k)  # an entry in block (k, k) makes it nonzero
+    else:
+        k = data.draw(st.integers(0, n - 1))
+        zeroed, inner_index = inner == k, k
+        cols = np.arange(d)
+    g[zeroed] = 0.0
+    mat = g @ g.conj().T
+    if transpose:
+        mat = pt_mat(mat, m, n)
+    assert zero_pattern_check(BipartiteOperator(m, n, mat)) == []
+
+    row = data.draw(st.sampled_from(np.flatnonzero(zeroed).tolist()))
+    col = data.draw(st.sampled_from([c for c in cols.tolist() if c != row]))
+    mat[row, col] = 0.5 - 0.25j
+    mat[col, row] = 0.5 + 0.25j
+    found = [(v.rule, v.block, v.inner_index)
+             for v in zero_pattern_check(BipartiteOperator(m, n, mat))]
+    assert (rule, (int(block[row]), int(block[col])), inner_index) in found

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ews import verify
-from ews.errors import BadParamError, NoConvergenceError, UnknownSuiteError
+from ews import states, verify
+from ews.errors import BadParamError, IsPPTError, NoConvergenceError, UnknownSuiteError
 from ews.linalg import BipartiteOperator
+from ews.states import is_ppt
 from ews.verify import (
     Check,
     SuiteReport,
@@ -12,7 +13,7 @@ from ews.verify import (
     report_from_json,
     run_suite,
 )
-from ews.witness import sample_dew, spectral_report
+from ews.witness import detect_npt, sample_dew, spectral_report
 
 
 def test_unknown_suite():
@@ -219,6 +220,49 @@ def test_failed_detection_keeps_the_check_statement(monkeypatch):
         if bad.claim_id.startswith("detect_bell"):
             assert not bad.passed and bad.measured == 0.0
             assert bad.note == "NoConvergenceError('x')"
+
+
+def _battery_note(report):
+    return next(c.note for c in report.checks if c.claim_id == "detect_wishart_battery")
+
+
+def test_battery_note_carries_the_largest_certified_expectation(monkeypatch):
+    expectations = []
+
+    def recording_detect(rho):
+        cert = detect_npt(rho)
+        expectations.append(cert.expectation)
+        return cert
+
+    monkeypatch.setattr(verify, "detect_npt", recording_detect)
+    report = run_suite("npt_detection", m=3, n=3, samples=4, seed=1)
+    assert len(expectations) == 3 + 4 and max(expectations) < 0.0
+    assert _battery_note(report) == (
+        f"4 NPT of 4 samples; worst expectation {max(expectations[3:]):.3e}"
+    )
+
+
+@pytest.mark.parametrize("exc,note", [
+    (NoConvergenceError("x"), "1 NPT of 1 samples; no certificate; NoConvergenceError('x')"),
+    (IsPPTError("ppt"), "0 NPT of 1 samples; no certificate"),
+], ids=["error", "ppt"])
+def test_battery_note_without_a_certificate(monkeypatch, exc, note):
+    monkeypatch.setattr(verify, "detect_npt", _raise(exc))
+    report = run_suite("npt_detection", m=3, n=3, samples=1, seed=1)
+    assert _battery_note(report) == note
+
+
+def test_npt_detection_decides_ppt_once_per_state(monkeypatch):
+    run_suite("npt_detection", m=3, n=3, samples=4, seed=1)  # builds the base witnesses
+    calls = []
+
+    def counting_is_ppt(rho):
+        calls.append(rho)
+        return is_ppt(rho)
+
+    monkeypatch.setattr(states, "is_ppt", counting_is_ppt)
+    run_suite("npt_detection", m=3, n=3, samples=4, seed=1)
+    assert len(calls) == 3 + 4
 
 
 def test_a_malformed_witness_in_a_suite_is_a_failed_check(monkeypatch):
