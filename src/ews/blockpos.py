@@ -4,7 +4,7 @@ block-positivity checks.
 
 The see-saw is a heuristic: each restart converges monotonically to a
 local optimum, and the multi-start minimum/maximum is reported together
-with restart statistics; `_agreement` judges a minimum by how many
+with restart statistics; `_agreement` judges a best value by how many
 converged restarts reproduce it.
 """
 
@@ -81,6 +81,11 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     per-restart arrays only in the iteration it converges.  Restarts still
     live at SEESAW_ITER_CAP are dropped, since only converged restarts
     enter the result.
+
+    Restart r starts from default_rng(seed ^ r), so seeds that map
+    range(restarts) onto itself under XOR share one start set, in another
+    order: at 64 restarts every seed in 0..63 searches the same 64 starts
+    and returns the same value after the same number of iterations.
     """
     if restarts < 1:
         raise BadParamError(f"restarts must be at least 1, got {restarts}")

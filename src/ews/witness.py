@@ -315,9 +315,17 @@ def mirror(
     w: Witness, restarts: int = blockpos.DEFAULT_RESTARTS, seed: int = 0
 ) -> MirrorResult:
     """Mirror operator mu I - W with mu the largest product-vector
-    expectation of W.  The mirror is a witness candidate exactly when it
-    fails the PSD rule (`linalg.is_psd`), that is when the top eigenvalue
-    of W exceeds mu; it is a witness when it also stays block-positive."""
+    expectation of W, found by one see-saw max search.
+
+    The mirror is `mirror-PSD` when it passes the PSD rule
+    (`linalg.is_psd`), and `mirror-EW` when its partial transpose does,
+    which proves it block-positive.  Otherwise the max search decides:
+    <a,b|mu I - W|a,b> = mu - <a,b|W|a,b>, so the mirror's product minimum
+    is 0 exactly when mu is the maximum, and the mirror is `mirror-EW` when
+    `blockpos._agreement` backs mu (scaled by ||mu I - W||_F), else
+    `inconclusive`.  A min search on the mirror from the same starts would
+    retrace the max search, so none is run.  Input tagged `EW-unclassified`
+    is first checked block-positive with `is_block_positive`."""
     if w.class_tag == TAG_UNCLASSIFIED:
         bp = blockpos.is_block_positive(w.op, restarts=restarts, seed=seed)
         if bp.status == "no":
@@ -328,9 +336,10 @@ def mirror(
     w_m = BipartiteOperator(w.m, w.n, mu * np.eye(d, dtype=complex) - w.op.mat)
     if linalg.is_psd(w_m.mat):
         verdict = "mirror-PSD"
+    elif linalg.is_psd(pt_mat(w_m.mat, w.m, w.n)) or blockpos._agreement(w_m, opt)[1]:
+        verdict = "mirror-EW"
     else:
-        check = blockpos.is_block_positive(w_m, restarts=restarts, seed=seed)
-        verdict = "mirror-EW" if check.status.startswith("yes") else "inconclusive"
+        verdict = "inconclusive"
     return MirrorResult(mu=float(mu), w_m=w_m, verdict=verdict, opt=opt)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ews import blockpos, linalg, witness
+from ews import blockpos, linalg, verify, witness
 from ews.errors import (
     BadParamError,
     EpsilonVanishesError,
@@ -182,6 +182,21 @@ class TestSpectralReport:
         assert abs(rep.negativity - 0.5) < 1e-10
 
 
+@pytest.fixture
+def second_searches(monkeypatch):
+    """Operators handed to a min search or a block-positivity check."""
+    calls = []
+    for name in ("product_expectation_min", "is_block_positive"):
+        real = getattr(blockpos, name)
+
+        def spy(op, *args, real=real, **kwargs):
+            calls.append(op)
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(blockpos, name, spy)
+    return calls
+
+
 class TestMirror:
     def test_scaled_identity(self):
         w = Witness(
@@ -208,14 +223,13 @@ class TestMirror:
         assert eig_hermitian(res.w_m.mat).values[-1] >= -1e-10
 
     @pytest.mark.parametrize(
-        "status, verdict",
-        [("yes-heuristic", "mirror-EW"), ("no", "inconclusive"),
-         ("inconclusive", "inconclusive")],
+        "holds, verdict", [(True, "mirror-EW"), (False, "inconclusive")]
     )
-    def test_non_psd_mirror_is_judged_by_block_positivity(
-        self, monkeypatch, status, verdict
+    def test_non_psd_mirror_is_judged_by_the_max_search(
+        self, monkeypatch, second_searches, holds, verdict
     ):
-        # mu = lambda_1(W) - 5e-10 leaves the mirror just short of PSD
+        # mu = lambda_1(W) - 5e-10 leaves the mirror just short of PSD, and
+        # its partial transpose mu I - |phi><phi| is far from PSD
         w = pure_pt_witness(max_entangled(2, 2))
         lam1 = eig_hermitian(w.op.mat).values[0]
         exact = blockpos.product_expectation_max
@@ -227,16 +241,70 @@ class TestMirror:
 
         judged = []
 
-        def spy(op, restarts, seed):
-            judged.append(op)
-            return blockpos.BlockPositivityVerdict(status, None, restarts, 0, 0, 0)
+        def agreement(op, opt):
+            judged.append((op, opt))
+            return 0, holds
 
         monkeypatch.setattr(blockpos, "product_expectation_max", shifted)
-        monkeypatch.setattr(blockpos, "is_block_positive", spy)
+        monkeypatch.setattr(blockpos, "_agreement", agreement)
         res = mirror(w, restarts=8, seed=0)
         assert not linalg.is_psd(res.w_m.mat)
-        assert judged == [res.w_m]
+        assert len(judged) == 1
+        assert judged[0][0] is res.w_m and judged[0][1] is res.opt
         assert res.verdict == verdict
+        assert second_searches == []
+
+    def test_psd_partial_transpose_proves_the_mirror(
+        self, monkeypatch, second_searches
+    ):
+        # W = A^PT with A = 0.6|00><00| + 0.4|phi'><phi'|, phi' = (|01>+|10>)/sqrt2:
+        # mu = 0.6 < lambda_1(W) = 0.3 + sqrt(0.13), and PT(mu I - W) = mu I - A
+        phi = np.array([0, 1, 1, 0]) / SQRT2
+        a_mat = 0.6 * np.diag([1.0, 0, 0, 0]) + 0.4 * np.outer(phi, phi)
+        w = Witness(
+            op=BipartiteOperator(2, 2, pt_mat(a_mat.astype(complex), 2, 2)),
+            class_tag=TAG_DEW,
+        )
+        monkeypatch.setattr(blockpos, "_agreement", lambda op, opt: (0, False))
+        res = mirror(w, restarts=16, seed=0)
+        assert abs(res.mu - 0.6) < 1e-10
+        assert eig_hermitian(w.op.mat).values[0] > res.mu + 0.05
+        assert not linalg.is_psd(res.w_m.mat)
+        assert res.verdict == "mirror-EW"
+        assert second_searches == []
+
+    def test_verdicts_match_a_min_search_on_the_mirror(self, monkeypatch):
+        # reference rule: judge mu I - W by is_block_positive, which runs a
+        # see-saw min search on the mirror from the same starts
+        def reference(w, restarts, seed):
+            res = mirror(w, restarts=restarts, seed=seed)
+            if linalg.is_psd(res.w_m.mat):
+                return res.verdict, "mirror-PSD"
+            check = blockpos.is_block_positive(res.w_m, restarts=restarts, seed=seed)
+            return res.verdict, (
+                "mirror-EW" if check.status.startswith("yes") else "inconclusive"
+            )
+
+        pairs = []
+        for m, n in ((2, 2), (2, 3), (3, 3), (2, 4)):
+            for restarts in (4, 16):
+                for i in range(8):
+                    rng = np.random.default_rng([m, n, restarts, i])
+                    w = sample_dew(
+                        m, n, x=float(rng.uniform(0, 0.9)), seed=int(rng.integers(2**31))
+                    )
+                    pairs.append(reference(w, restarts, i))
+
+        def recorded(w, restarts=blockpos.DEFAULT_RESTARTS, seed=0):
+            pairs.append(reference(w, restarts, seed))
+            return mirror(w, restarts=restarts, seed=seed)
+
+        monkeypatch.setattr(verify, "mirror", recorded)
+        for seed in (1, 2):
+            verify.run_suite("mirror_conditions", samples=6, seed=seed)
+        assert len(pairs) == 64 + 2 * 13
+        assert [new for new, _ in pairs] == [ref for _, ref in pairs]
+        assert {new for new, _ in pairs} == {"mirror-PSD", "mirror-EW", "inconclusive"}
 
     def test_rejects_non_block_positive(self):
         # unit trace, but <11|W|11> = -3/2 on a product vector

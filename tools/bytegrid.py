@@ -12,7 +12,7 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 353 entries.  270 suite entries cover all eight suites:
+The grid has 389 entries.  270 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -45,6 +45,12 @@ the transposed Bell projector) and once at 3x3 (3); ``mirror`` on that
 transposed Bell projector, whose mirror is PSD, and on its negation, whose
 trace is -1 (2); and ``verify`` of every suite at the trivial size (1,1)
 with 3 samples (8).
+
+36 last CLI entries run ``mirror`` at ``--restarts`` 2 and 4 on the
+decomposable witnesses ``sample_dew(m, n, x=0.3, seed)`` at 2x2, 2x3 and
+3x3, seeds 0 to 5.  Six of them answer ``inconclusive``, where the restarts
+of the max search settle at different local maxima; the rest answer
+``mirror-EW``.
 """
 
 from __future__ import annotations
@@ -102,6 +108,8 @@ STATE_PARAMS = (
     ("zeta2", ("m=2.5", "n=3.9")), ("zeta1", ("l=1.5",)),
     ("rho1", ("m=3.0",)), ("zeta1", ("m=3.0", "l=2.0")),
 )
+DEW_SIZES = ((2, 2), (2, 3), (3, 3))
+DEW_SEEDS = range(6)
 FAMILY_ARGS = (
     "--a 0.25 --b 0.25 --c 0.25 --d 0.25 --m 2 --n 2".split(),
     "--a 0.2 --b 0.4 --c 0.2 --d 0.2 --m 3 --n 3".split(),
@@ -115,6 +123,7 @@ def cli_digests() -> dict:
     import numpy as np
 
     from ews import cli, linalg, states, verify
+    from ews.witness import sample_dew
 
     out = {}
     with tempfile.TemporaryDirectory(prefix="bytegrid-cli-") as tmp:
@@ -184,6 +193,13 @@ def cli_digests() -> dict:
         for suite in verify.SUITE_NAMES:
             run(f"verify {suite} (1,1)",
                 ["verify", "--suite", suite, "--m", "1", "--n", "1", "--samples", "3"])
+        for m, n in DEW_SIZES:
+            for seed in DEW_SEEDS:
+                dew = os.path.join(tmp, f"dew{m}x{n}_{seed}.json")
+                linalg.write_operator(dew, sample_dew(m, n, x=0.3, seed=seed).op)
+                for restarts in ("2", "4"):
+                    run(f"mirror dew {m}x{n} seed={seed} --restarts {restarts}",
+                        ["mirror", "--input", dew, "--restarts", restarts])
     return out
 
 
