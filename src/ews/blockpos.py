@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadParamError, NoConvergedRestartError, NoConvergenceError
 from .linalg import BipartiteOperator, eig_hermitian, fro_norm, is_psd, pt_mat
-from .states import haar_vector
+from .states import _require_seed, haar_vector
 
 SEESAW_ITER_CAP = 500
 SEESAW_VALUE_TOL = 1e-12
@@ -89,6 +89,7 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     """
     if restarts < 1:
         raise BadParamError(f"restarts must be at least 1, got {restarts}")
+    _require_seed(seed)
     m, n = op.m, op.n
     w4 = op.mat.reshape(m, n, m, n)
     sign = 1.0 if mode == "min" else -1.0

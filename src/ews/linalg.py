@@ -151,10 +151,11 @@ class BipartiteOperator:
 
 
 def pt_mat(mat: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Partial transpose on the first factor: block (i,j) <- block (j,i)."""
-    return (
-        mat.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n).copy()
-    )
+    """Partial transpose on the first factor: block (i,j) <- block (j,i),
+    of one matrix or of each matrix in a stack (..., mn, mn)."""
+    blocks = mat.reshape(mat.shape[:-2] + (m, n, m, n))
+    # one copy: reshaping the swapped view would copy once more
+    return blocks.swapaxes(-4, -2).copy().reshape(mat.shape)
 
 
 def partial_transpose(op: BipartiteOperator) -> BipartiteOperator:
@@ -182,9 +183,15 @@ def negative_cut(h: np.ndarray) -> float:
     return -NEG_EIG_TOL * max(1.0, fro_norm(h))
 
 
+def spectrum_is_psd(values: np.ndarray, h: np.ndarray) -> bool:
+    """True iff no entry of `values`, the non-increasing eigenvalues of
+    `h`, lies below negative_cut(h)."""
+    return bool(values[-1] >= negative_cut(h))
+
+
 def is_psd(h: np.ndarray) -> bool:
     """True iff no eigenvalue of `h` lies below negative_cut(h)."""
-    return bool(eig_hermitian(h).values[-1] >= negative_cut(h))
+    return spectrum_is_psd(eig_hermitian(h).values, h)
 
 
 def negativity(h: np.ndarray) -> float:

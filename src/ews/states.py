@@ -160,6 +160,11 @@ def _require_dims(m: int, n: int) -> None:
         raise BadParamError(f"local dimensions ({m}, {n}) must both be >= 2")
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise BadParamError(f"seed must be non-negative, got {seed}")
+
+
 def _dims(m, n) -> tuple[int, int]:
     """Integer local dimensions of a named state; n defaults to m."""
     m = _whole("m", m)
@@ -366,23 +371,34 @@ def is_ppt(rho: BipartiteOperator) -> bool:
 # ---------------------------------------------------------------------------
 # Seeded sampling.
 
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array: the real parts are drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = _complex_gaussian(rng, dim)
     return v / np.linalg.norm(v)
+
+
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from complex Gaussian matrices, one per
+    matrix of the stack (..., d, d): the QR factor Q with the phases of
+    R's diagonal moved onto its columns."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix
     with the R diagonal phases fixed."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_from_gaussian(_complex_gaussian(rng, (dim, dim)))
 
 
 def _wishart(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
     """Unit-trace d x d Wishart matrix G G^dag of a complex Gaussian d x rank G."""
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    g = _complex_gaussian(rng, (d, rank))
     w = g @ g.conj().T
     return w / np.trace(w).real
 
@@ -390,6 +406,7 @@ def _wishart(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
 def random_state(kind: str, m: int, n: int, rank: int | None = None, seed: int = 0):
     """Seeded sampler: kind 'pure_haar' gives a PureState, 'density_wishart'
     a PSD unit-trace BipartiteOperator of the requested rank."""
+    _require_seed(seed)
     d = m * n
     rng = np.random.default_rng(seed)
     if kind == "pure_haar":

@@ -166,6 +166,7 @@ def sample_dew(
     the sample could never acquire a negative eigenvalue."""
     if not 0.0 <= x < 1.0:
         raise BadParamError(f"x={x} outside [0, 1)")
+    states._require_seed(seed)
     d = m * n
     rank_p = rank_p or d
     rank_q = rank_q or d
@@ -567,13 +568,15 @@ def detect_npt(
 
     The base witness is built once per (base, restarts) in a process, at
     see-saw seed 0, so `seed` does not change the detection result; it is
-    kept for compatibility.
+    kept for compatibility and, like every seed, must be non-negative.
     """
     m, n = rho.m, rho.n
     _require_detectable(m, n)
-    if states.is_ppt(rho):
+    states._require_seed(seed)
+    pt_rho = pt_mat(rho.mat, m, n)
+    eig = eig_hermitian(pt_rho)
+    if linalg.spectrum_is_psd(eig.values, pt_rho):
         raise IsPPTError("state has a positive partial transpose")
-    eig = eig_hermitian(pt_mat(rho.mat, m, n))
     lam_min = float(eig.values[-1])
     psi = PureState.from_vector(eig.vectors[:, -1], m, n)
     d = psi.rank

@@ -159,6 +159,12 @@ def test_fewer_than_one_restart_rejected(search, restarts):
         search(restarts)
 
 
+@pytest.mark.parametrize("search", [product_expectation_min, product_expectation_max])
+def test_negative_seed_rejected(search):
+    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+        search(_NOT_PSD, seed=-1)
+
+
 def loop_seesaw(op, restarts, seed, mode):
     """Reference see-saw: one restart at a time, one 2-D eigensolve per
     half-step.  Returns (best value, restarts converged, iterations)."""

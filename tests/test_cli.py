@@ -381,6 +381,21 @@ def test_seesaw_commands_reject_fewer_than_one_restart(tmp_path, capsys, restart
         assert "restarts must be at least 1" in err, argv
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    neg = _write_matrix(tmp_path / "neg.json", 2, 2, [-0.5, 0.5, 0.5, 0.5])
+    bell = str(tmp_path / "bell.json")
+    write_operator(bell, pure_from_schmidt([2**-0.5] * 2, 3, 3).projector())
+    for argv in (
+        ["verify", "--suite", "absolute_ppt", "--m", "2", "--n", "2"],
+        ["blockpos", "--mode", "min", "--input", neg],
+        ["mirror", "--input", neg],
+        ["detect", "--input", bell],
+    ):
+        code, out, err = run([*argv, "--seed", "-1"], capsys)
+        assert (code, out) == (2, ""), argv
+        assert "seed must be non-negative, got -1" in err, argv
+
+
 def test_out_receives_the_stdout_bytes(tmp_path, capsysbinary):
     w = str(tmp_path / "w.json")
     assert main(["family", "--a", "0.5", "--b", "0.5", "--c", "0", "--d", "0",

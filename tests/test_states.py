@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ews import states
 from ews.errors import (
     BadParamError,
     BadRankError,
@@ -317,6 +318,22 @@ class TestRandomState:
 def test_haar_unitary_is_unitary():
     u = haar_unitary(5, np.random.default_rng(3))
     assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+def test_stacked_haar_rule_matches_haar_unitary(m, n):
+    d = m * n
+    rngs = [np.random.default_rng([m, n, i]) for i in range(50)]
+    gauss = np.array([states._complex_gaussian(rng, (d, d)) for rng in rngs])
+    stacked = states._haar_from_gaussian(gauss)
+    for i, u in enumerate(stacked):
+        assert np.array_equal(u, haar_unitary(d, np.random.default_rng([m, n, i])))
+
+
+@pytest.mark.parametrize("kind", ["pure_haar", "density_wishart"])
+def test_random_state_rejects_a_negative_seed(kind):
+    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+        random_state(kind, 2, 2, seed=-1)
 
 
 @pytest.mark.parametrize(

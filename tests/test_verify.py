@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ews import states, verify
+from ews import blockpos, linalg, states, verify, witness
 from ews.errors import BadParamError, IsPPTError, NoConvergenceError, UnknownSuiteError
-from ews.linalg import BipartiteOperator
-from ews.states import is_ppt
+from ews.linalg import BipartiteOperator, eig_hermitian, pt_mat
+from ews.states import canonical_state, haar_unitary
 from ews.verify import (
     Check,
     SuiteReport,
@@ -252,17 +252,54 @@ def test_battery_note_without_a_certificate(monkeypatch, exc, note):
     assert _battery_note(report) == note
 
 
-def test_npt_detection_decides_ppt_once_per_state(monkeypatch):
+def test_npt_detection_diagonalises_each_partial_transpose_once(monkeypatch):
     run_suite("npt_detection", m=3, n=3, samples=4, seed=1)  # builds the base witnesses
-    calls = []
+    inputs, solved = [], []
+    detect, solve = verify.detect_npt, linalg.eig_hermitian
 
-    def counting_is_ppt(rho):
-        calls.append(rho)
-        return is_ppt(rho)
+    def recording_detect(rho, *args, **kwargs):
+        inputs.append(rho)
+        return detect(rho, *args, **kwargs)
 
-    monkeypatch.setattr(states, "is_ppt", counting_is_ppt)
+    def recording_solve(h):
+        solved.append(np.array(h))
+        return solve(h)
+
+    monkeypatch.setattr(verify, "detect_npt", recording_detect)
+    for mod in (linalg, states, blockpos, witness, verify):
+        monkeypatch.setattr(mod, "eig_hermitian", recording_solve)
     run_suite("npt_detection", m=3, n=3, samples=4, seed=1)
-    assert len(calls) == 3 + 4
+    assert len(inputs) == 3 + 4
+    for rho in inputs:
+        pt = pt_mat(rho.mat, rho.m, rho.n)
+        assert sum(h.shape == pt.shape and np.array_equal(h, pt) for h in solved) == 1
+
+
+def _reference_orbit_floors(m, n, samples, seed):
+    """The absolute-PPT orbit floors of rho1 and rho2, one unitary at a time."""
+    rngs = (np.random.default_rng(verify._sample_seed(seed, i)) for i in range(samples))
+    us = [haar_unitary(m * n, rng) for rng in rngs]
+    floors = []
+    for name in ("rho1", "rho2"):
+        rho = canonical_state(name, m=m, n=n).mat
+        orbit = np.array([pt_mat(u @ rho @ u.conj().T, m, n) for u in us])
+        floors.append(float(eig_hermitian(orbit).values[:, -1].min()))
+    return floors
+
+
+@pytest.mark.parametrize("m, n, samples, seed", [
+    (2, 3, 125, 1),
+    (2, 2, verify._ORBIT_BLOCK + 37, 7),  # crosses a block boundary
+])
+def test_stacked_orbit_floors_match_the_per_sample_loop(m, n, samples, seed):
+    report = run_suite("absolute_ppt", m=m, n=n, samples=samples, seed=seed)
+    floors = [c.measured for c in report.checks[:2]]
+    assert floors == _reference_orbit_floors(m, n, samples, seed)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+        run_suite("absolute_ppt", m=2, n=2, samples=3, seed=-1)
 
 
 def test_a_malformed_witness_in_a_suite_is_a_failed_check(monkeypatch):

@@ -588,6 +588,11 @@ def test_ndew_params_take_no_boost_weight():
         NdewParams(t=5.0)
 
 
+def test_sample_dew_rejects_a_negative_seed():
+    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+        sample_dew(2, 2, x=0.3, seed=-1)
+
+
 @pytest.mark.parametrize("restarts", [0, -3])
 def test_seesaw_callers_reject_fewer_than_one_restart(restarts):
     with pytest.raises(BadParamError):

@@ -12,11 +12,13 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 389 entries.  270 suite entries cover all eight suites:
+The grid has 405 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
-  samples 1/3/50, plus 640 samples for the three sampled bound suites;
+  samples 1/3/50/640;
+- ``absolute_ppt`` at (3,3), seed 1, 5000 samples, whose unitary orbit
+  spans more than one stacked block (``verify._ORBIT_BLOCK``);
 - ``npt_detection`` at (3,3), (2,4), (3,4), seeds 1/7/42, samples 1/3;
 - ``dew_attainability``, ``ndew_constructions`` and ``mirror_conditions``
   at (3,3), seeds 1/7/42, samples 1/3/50.
@@ -79,8 +81,8 @@ def grid():
         for seed in SEEDS:
             for samples in (1, 3, 50, 640):
                 for suite in BOUND_SUITES + ("absolute_ppt",):
-                    if samples < 640 or suite in BOUND_SUITES:
-                        yield suite, m, n, samples, seed
+                    yield suite, m, n, samples, seed
+    yield "absolute_ppt", 3, 3, 5000, 1
     for m, n in ((3, 3), (2, 4), (3, 4)):
         for seed in SEEDS:
             for samples in (1, 3):
