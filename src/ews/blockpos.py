@@ -4,8 +4,9 @@ block-positivity checks.
 
 The see-saw is a heuristic: each restart converges monotonically to a
 local optimum, and the multi-start minimum/maximum is reported together
-with restart statistics; `_agreement` judges a best value by how many
-converged restarts reproduce it.
+with restart statistics; `OptResult.restarts_agreeing` counts the
+converged restarts that reproduce the best value, and `OptResult.backed`
+judges the value by that count.
 """
 
 from __future__ import annotations
@@ -21,25 +22,29 @@ from .states import _require_seed, haar_vector
 SEESAW_ITER_CAP = 500
 SEESAW_VALUE_TOL = 1e-12
 DEFAULT_RESTARTS = 64
-# A converged restart agrees when its value lies within
-# AGREE_TOL * max(1, ||W||_F) of the best value; the see-saw evidence for
-# that value holds when at least min(restarts tried, AGREE_MIN) agree.
 AGREE_TOL = 1e-6
 AGREE_MIN = 4
 
 
 @dataclass
 class OptResult:
-    """Best product-vector expectation found plus restart statistics."""
+    """Best product-vector expectation found plus restart statistics;
+    restarts_agreeing counts the converged restarts within AGREE_TOL *
+    max(1, ||W||_F) of the best value, W the operator searched."""
 
     value: float
     vec_a: np.ndarray = field(repr=False)
     vec_b: np.ndarray = field(repr=False)
     restarts_tried: int
     restarts_converged: int
+    restarts_agreeing: int
     spread: float
     iterations: int
-    converged_values: np.ndarray = field(repr=False)
+
+    @property
+    def backed(self) -> bool:
+        """The see-saw evidence: min(restarts tried, AGREE_MIN) agree."""
+        return self.restarts_agreeing >= min(self.restarts_tried, AGREE_MIN)
 
 
 @dataclass
@@ -140,15 +145,16 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     # the first converged restart holding the extreme value, as a loop over
     # restarts in order would keep it
     best = idx[np.argmin(sign * conv_vals)]
+    agree_tol = AGREE_TOL * max(1.0, fro_norm(op.mat))
     return OptResult(
         value=float(vals[best]),
         vec_a=a[best],
         vec_b=b[best],
         restarts_tried=restarts,
         restarts_converged=len(idx),
+        restarts_agreeing=int(np.sum(np.abs(conv_vals - vals[best]) <= agree_tol)),
         spread=float(conv_vals.max() - conv_vals.min()),
         iterations=total_iters,
-        converged_values=conv_vals,
     )
 
 
@@ -171,14 +177,6 @@ def product_expectation_max(
     return _seesaw(op, restarts, seed, "max")
 
 
-def _agreement(op: BipartiteOperator, opt: OptResult) -> tuple[int, bool]:
-    """The see-saw evidence rule: how many converged restarts agree at the
-    best value of `op`, and whether that many back it."""
-    tol = AGREE_TOL * max(1.0, fro_norm(op.mat))
-    agreeing = int(np.sum(np.abs(opt.converged_values - opt.value) <= tol))
-    return agreeing, agreeing >= min(opt.restarts_tried, AGREE_MIN)
-
-
 def is_block_positive(
     op: BipartiteOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> BlockPositivityVerdict:
@@ -187,8 +185,9 @@ def is_block_positive(
     Fast certified paths: W or W^PT positive semidefinite gives yes-psd.
     Otherwise the see-saw minimum decides, with scale = max(1, ||W||_F): a
     value below -1e-9 * scale is a counterexample (no); a value of at least
-    -1e-12 * scale that `_agreement` backs is yes-heuristic, which is
-    evidence rather than proof; everything else is inconclusive.
+    -1e-12 * scale that enough restarts back (`OptResult.restarts_agreeing`,
+    judged by `OptResult.backed`) is yes-heuristic, which is evidence rather
+    than proof; everything else is inconclusive.
     """
     if is_psd(op.mat) or is_psd(pt_mat(op.mat, op.m, op.n)):
         return BlockPositivityVerdict("yes-psd", None, 0, 0, 0, 0)
@@ -199,17 +198,16 @@ def is_block_positive(
             "inconclusive", None, restarts, 0, restarts * SEESAW_ITER_CAP, 0
         )
     scale = max(1.0, fro_norm(op.mat))
-    agreeing, holds = _agreement(op, opt)
     if opt.value < -1e-9 * scale:
         status = "no"
-    elif opt.value >= -1e-12 * scale and holds:
+    elif opt.value >= -1e-12 * scale and opt.backed:
         status = "yes-heuristic"
     else:
         status = "inconclusive"
     counterexample = (opt.vec_a, opt.vec_b, opt.value) if status == "no" else None
     return BlockPositivityVerdict(
         status, counterexample, opt.restarts_tried, opt.restarts_converged,
-        opt.iterations, agreeing, opt.value,
+        opt.iterations, opt.restarts_agreeing, opt.value,
     )
 
 
@@ -221,8 +219,8 @@ def product_vector_in_subspace(
 
     Returns (vec_a, vec_b) when the residual drops below 1e-10, else None
     (heuristic absence).  Unlike a minimum, a product vector found needs no
-    `_agreement` evidence: it is its own proof.  A basis of the wrong
-    length or with rows that are not orthonormal raises BadParamError.
+    `OptResult.restarts_agreeing` evidence: it is its own proof.  A basis of
+    the wrong length or with rows that are not orthonormal raises BadParamError.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:

@@ -7,6 +7,7 @@ reference spectra, bound entangled edge states and PPT tests.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +53,14 @@ class PureState:
             raise RankTooLargeError(
                 f"rank {d} exceeds min dimension {min(self.m, self.n)}"
             )
-        if abs(float(self.coeffs @ self.coeffs) - 1.0) > 1e-9:
+        # negated tests, so that NaN entries fail them too
+        if not abs(float(self.coeffs @ self.coeffs) - 1.0) <= 1e-9:
             raise NormViolationError("Schmidt coefficients must square-sum to 1")
         for basis, dim in ((self.basis_a, self.m), (self.basis_b, self.n)):
             if basis.shape != (d, dim):
                 raise BadParamError(f"basis shape {basis.shape} != ({d}, {dim})")
             gram = basis.conj() @ basis.T
-            if np.abs(gram - np.eye(d)).max() > 1e-10:
+            if not np.abs(gram - np.eye(d)).max() <= 1e-10:
                 raise BadParamError("local basis vectors are not orthonormal")
 
     @property
@@ -150,17 +152,27 @@ def pt_spectrum_pure(psi: PureState) -> np.ndarray:
 # Canonical (named) states.
 
 def _whole(key: str, value) -> int:
-    if int(value) != float(value):
+    """`value` as an int; anything but a finite whole number raises
+    BadParamError naming `key`."""
+    try:
+        whole = int(value) == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
         raise BadParamError(f"{key}={value} is not an integer")
     return int(value)
 
 
 def _require_dims(m: int, n: int) -> None:
+    if not (isinstance(m, numbers.Integral) and isinstance(n, numbers.Integral)):
+        raise BadParamError(f"local dimensions ({m}, {n}) must be integers")
     if m < 2 or n < 2:
         raise BadParamError(f"local dimensions ({m}, {n}) must both be >= 2")
 
 
 def _require_seed(seed: int) -> None:
+    if not isinstance(seed, numbers.Integral):
+        raise BadParamError(f"seed must be an integer, got {seed}")
     if seed < 0:
         raise BadParamError(f"seed must be non-negative, got {seed}")
 

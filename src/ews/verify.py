@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -593,8 +594,10 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; registered: {', '.join(SUITE_NAMES)}"
         )
-    if samples is not None and samples < 1:
-        raise BadParamError(f"samples must be at least 1, got {samples}")
+    if samples is not None and not (
+        isinstance(samples, numbers.Integral) and samples >= 1
+    ):
+        raise BadParamError(f"samples must be an integer of at least 1, got {samples}")
     states._require_dims(m, n)
     states._require_seed(seed)
     suite, default = _SUITES[name]

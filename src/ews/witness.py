@@ -323,10 +323,11 @@ def mirror(
     which proves it block-positive.  Otherwise the max search decides:
     <a,b|mu I - W|a,b> = mu - <a,b|W|a,b>, so the mirror's product minimum
     is 0 exactly when mu is the maximum, and the mirror is `mirror-EW` when
-    `blockpos._agreement` backs mu (scaled by ||mu I - W||_F), else
-    `inconclusive`.  A min search on the mirror from the same starts would
-    retrace the max search, so none is run.  Input tagged `EW-unclassified`
-    is first checked block-positive with `is_block_positive`."""
+    the max search backs mu (`OptResult.restarts_agreeing`, counted at the
+    scale of W and judged by `OptResult.backed`), else `inconclusive`.  A
+    min search on the mirror from the same starts would retrace the max
+    search, so none is run.  Input tagged `EW-unclassified` is first
+    checked block-positive with `is_block_positive`."""
     if w.class_tag == TAG_UNCLASSIFIED:
         bp = blockpos.is_block_positive(w.op, restarts=restarts, seed=seed)
         if bp.status == "no":
@@ -337,7 +338,7 @@ def mirror(
     w_m = BipartiteOperator(w.m, w.n, mu * np.eye(d, dtype=complex) - w.op.mat)
     if linalg.is_psd(w_m.mat):
         verdict = "mirror-PSD"
-    elif linalg.is_psd(pt_mat(w_m.mat, w.m, w.n)) or blockpos._agreement(w_m, opt)[1]:
+    elif linalg.is_psd(pt_mat(w_m.mat, w.m, w.n)) or opt.backed:
         verdict = "mirror-EW"
     else:
         verdict = "inconclusive"
@@ -353,8 +354,9 @@ class NdewParams:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if self.z <= 0 or self.delta <= 0:
-            raise BadParamError("z and delta must be positive")
+        for name, value in (("z", self.z), ("delta", self.delta)):
+            if not 0.0 < value < math.inf:
+                raise BadParamError(f"{name}={value} must be positive and finite")
 
 
 def _kernel_projector(mat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -378,8 +380,8 @@ def ndew_from_edge(
     times the identity yields a block-positive operator with
     tr(W sigma) < 0, which certifies both entanglement of sigma and
     nondecomposability of W.  epsilon is a see-saw multistart minimum,
-    trusted only when `blockpos._agreement` backs it (unconverged restarts
-    count neither way); delta is capped at half of it.
+    trusted only when its `OptResult.restarts_agreeing` back it (unconverged
+    restarts count neither way); delta is capped at half of it.
     """
     params = params or NdewParams()
     m, n = sigma.m, sigma.n
@@ -401,11 +403,10 @@ def ndew_from_edge(
             f"product-vector margin {eps:.3e} vanishes; the projector pair "
             "admits no identity shift"
         )
-    agreeing, holds = blockpos._agreement(candidate, opt)
-    if not holds:
+    if not opt.backed:
         raise NoConvergedRestartError(
-            f"margin estimate not reproducible: {agreeing} restarts agree "
-            "at the best value"
+            f"margin estimate not reproducible: {opt.restarts_agreeing} "
+            "restarts agree at the best value"
         )
     delta = min(params.delta, eps / 2.0)
     norm = params.z * dim_p + dim_q - d * delta
@@ -443,8 +444,8 @@ def boost_witness(w: Witness, psi: PureState, t: float = 1.0) -> Witness:
     state."""
     if w.class_tag != TAG_NDEW or w.detected_state is None:
         raise BadParamError("boost requires a certified witness with a stored state")
-    if t < 0:
-        raise BadParamError(f"t={t} must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise BadParamError(f"t={t} must be non-negative and finite")
     return _boost(w, _pt_projector(psi), t)
 
 
@@ -597,8 +598,8 @@ def detect_npt(
         detected_state=embed_operator(base.detected_state, m, n),
     )
 
-    psi_d = PureState.from_vector(_psi_d_vector(m, n, d), m, n)
-    pt_psi_d = _pt_projector(psi_d)
+    psi_d = _psi_d_vector(m, n, d)
+    pt_psi_d = pt_mat(np.outer(psi_d, psi_d.conj()), m, n)
     carrier = float(np.trace(pt_psi_d @ rho_prime.mat).real)
     if carrier >= -1e-10:
         raise BoostDenominatorError(

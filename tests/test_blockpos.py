@@ -167,7 +167,7 @@ def test_negative_seed_rejected(search):
 
 def loop_seesaw(op, restarts, seed, mode):
     """Reference see-saw: one restart at a time, one 2-D eigensolve per
-    half-step.  Returns (best value, restarts converged, iterations)."""
+    half-step.  Returns (best value, converged values, iterations)."""
     m, n = op.m, op.n
     w4 = op.mat.reshape(m, n, m, n)
     better = (lambda x, y: x < y) if mode == "min" else (lambda x, y: x > y)
@@ -177,7 +177,7 @@ def loop_seesaw(op, restarts, seed, mode):
         i = 0 if mode == "min" else -1
         return vals[i], vecs[:, i]
 
-    best, n_conv, iters = None, 0, 0
+    best, converged, iters = None, [], 0
     for r in range(restarts):
         rng = np.random.default_rng(seed ^ r)
         a = haar_vector(m, rng)
@@ -187,12 +187,12 @@ def loop_seesaw(op, restarts, seed, mode):
             _, b = extreme(np.einsum("i,ijkl,k->jl", a.conj(), w4, a))
             val, a = extreme(np.einsum("j,ijkl,l->ik", b.conj(), w4, b))
             if abs(val - prev) < blockpos.SEESAW_VALUE_TOL:
-                n_conv += 1
+                converged.append(val)
                 if best is None or better(val, best):
                     best = val
                 break
             prev = val
-    return best, n_conv, iters
+    return best, converged, iters
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
@@ -203,9 +203,11 @@ def test_batched_seesaw_matches_restart_loop(dims, mode):
     for seed in range(6):
         op = random_bipartite(*dims, rng=rng)
         got = fn(op, restarts=12, seed=seed)
-        value, n_conv, iters = loop_seesaw(op, 12, seed, mode)
+        value, converged, iters = loop_seesaw(op, 12, seed, mode)
+        tol = blockpos.AGREE_TOL * max(1.0, np.linalg.norm(op.mat))
         assert abs(got.value - value) < 1e-10
-        assert got.restarts_converged == n_conv
+        assert got.restarts_converged == len(converged)
+        assert got.restarts_agreeing == sum(abs(v - value) <= tol for v in converged)
         assert got.iterations == iters
 
 

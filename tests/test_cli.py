@@ -464,6 +464,34 @@ def test_state_rejects_params_it_does_not_take(argv, capsys):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("name, param", [
+    ("zeta2", "m=1e309"), ("zeta1", "l=1e309"), ("zeta2", "m=nan"), ("rho1", "n=-inf"),
+])
+def test_state_non_finite_sizes_exit_2_naming_the_key(name, param, capsys):
+    code, out, err = run(["state", "--name", name, "--param", param], capsys)
+    key = param.split("=")[0]
+    assert (code, out) == (2, "")
+    assert f"{key}=" in err and "is not an integer" in err
+
+
+@pytest.mark.parametrize("option", ["--z", "--delta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_ndew_non_finite_params_exit_2_before_the_search(
+    tmp_path, capsys, monkeypatch, option, value
+):
+    rho_b = str(tmp_path / "rho_b.json")
+    run(["state", "--name", "rho_b", "--out", rho_b], capsys)
+    searches = []
+    monkeypatch.setattr(
+        witness.blockpos, "product_expectation_min",
+        lambda *args, **kwargs: searches.append(args),
+    )
+    code, out, err = run(["ndew", "--input", rho_b, option, value], capsys)
+    assert (code, out) == (2, "")
+    assert f"{option[2:]}={value} must be positive and finite" in err
+    assert searches == []
+
+
 def test_state_integer_valued_float_sizes_are_accepted(capsys):
     code, out, _ = run(["state", "--name", "zeta2", "--param", "m=3.0"], capsys)
     code_int, out_int, _ = run(["state", "--name", "zeta2", "--param", "m=3"], capsys)

@@ -407,3 +407,27 @@ def test_canonical_state_normalized_accepts_bools_and_0_1():
     assert np.array_equal(canonical_state("rho1", m=2, n=2, normalized=0).mat, raw.mat)
     unit = canonical_state("rho1", m=2, n=2, normalized=1)
     assert abs(unit.trace() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("zeta2", "m", float("nan")),
+        ("zeta2", "m", float("inf")),
+        ("zeta1", "l", float("inf")),
+        ("zeta1", "m", -float("inf")),
+        ("zeta2", "n", "three"),
+        ("rho1", "m", None),
+    ],
+)
+def test_canonical_state_rejects_non_finite_and_non_numeric_sizes(name, key, value):
+    with pytest.raises(BadParamError, match=f"^{key}={value} is not an integer$"):
+        canonical_state(name, **{key: value})
+
+
+def test_pure_state_rejects_nan_entries():
+    for coeffs in ([float("nan")], [2**-0.5, float("nan")]):
+        with pytest.raises(NormViolationError):
+            pure_from_schmidt(coeffs, 2, 2)
+    with pytest.raises(BadParamError, match="not orthonormal"):
+        PureState(2, 2, [1.0], [[np.nan, 0.0]], np.eye(2)[:1])

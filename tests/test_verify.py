@@ -317,3 +317,15 @@ def test_programming_errors_in_a_suite_propagate(monkeypatch):
     monkeypatch.setattr(verify, "ndew_from_edge", _raise(TypeError("bug")))
     with pytest.raises(TypeError):
         run_suite("ndew_constructions", m=3, n=3, seed=1)
+
+
+@pytest.mark.parametrize("param, message", [
+    ({"samples": 2.5}, "samples must be an integer of at least 1, got 2.5"),
+    ({"m": 2.5}, r"local dimensions \(2.5, 2\) must be integers"),
+    ({"n": float("nan")}, r"local dimensions \(2, nan\) must be integers"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+])
+def test_non_integer_sizes_samples_and_seeds_rejected(param, message):
+    kwargs = {"m": 2, "n": 2, "samples": 3, "seed": 1, **param}
+    with pytest.raises(BadParamError, match=message):
+        run_suite("dew_bounds", **kwargs)

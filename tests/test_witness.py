@@ -233,24 +233,20 @@ class TestMirror:
         w = pure_pt_witness(max_entangled(2, 2))
         lam1 = eig_hermitian(w.op.mat).values[0]
         exact = blockpos.product_expectation_max
+        searched = []
 
         def shifted(op, restarts, seed):
             opt = exact(op, restarts=restarts, seed=seed)
             opt.value = lam1 - 5e-10
+            opt.restarts_agreeing = opt.restarts_tried if holds else 0
+            searched.append(opt)
             return opt
 
-        judged = []
-
-        def agreement(op, opt):
-            judged.append((op, opt))
-            return 0, holds
-
         monkeypatch.setattr(blockpos, "product_expectation_max", shifted)
-        monkeypatch.setattr(blockpos, "_agreement", agreement)
         res = mirror(w, restarts=8, seed=0)
         assert not linalg.is_psd(res.w_m.mat)
-        assert len(judged) == 1
-        assert judged[0][0] is res.w_m and judged[0][1] is res.opt
+        assert len(searched) == 1 and searched[0] is res.opt
+        assert res.opt.backed is holds
         assert res.verdict == verdict
         assert second_searches == []
 
@@ -265,13 +261,46 @@ class TestMirror:
             op=BipartiteOperator(2, 2, pt_mat(a_mat.astype(complex), 2, 2)),
             class_tag=TAG_DEW,
         )
-        monkeypatch.setattr(blockpos, "_agreement", lambda op, opt: (0, False))
+        exact = blockpos.product_expectation_max
+
+        def unbacked(op, restarts, seed):
+            opt = exact(op, restarts=restarts, seed=seed)
+            opt.restarts_agreeing = 0
+            return opt
+
+        monkeypatch.setattr(blockpos, "product_expectation_max", unbacked)
         res = mirror(w, restarts=16, seed=0)
         assert abs(res.mu - 0.6) < 1e-10
         assert eig_hermitian(w.op.mat).values[0] > res.mu + 0.05
         assert not linalg.is_psd(res.w_m.mat)
+        assert not res.opt.backed
         assert res.verdict == "mirror-EW"
         assert second_searches == []
+
+    def test_restarts_agree_at_the_scale_of_w_not_of_the_mirror(self):
+        # on 6x6, W = p(|00><00| + |11><11| + (|22><22| + |33><33|)/2
+        # + 1.2|Phi><Phi|), Phi = (|23> + |32>)/sqrt2, p = 1/4.2, with 1.2e-6
+        # moved from <11|W|11> to <22|W|22>: the max search has local maxima
+        # p at |00> and p - 1.2e-6 at |11>, ||W||_F < 1 < ||mu I - W||_F, and
+        # neither the mirror nor its partial transpose is PSD.  At seed 38
+        # one of the two restarts settles at each maximum.
+        k, p, gap = 6, 1.0 / 4.2, 1.2e-6
+        phi = np.zeros(k * k)
+        phi[2 * k + 3] = phi[3 * k + 2] = 1.0 / SQRT2
+        mat = 1.2 * p * np.outer(phi, phi)
+        for i, weight in enumerate((1.0, 1.0, 0.5, 0.5)):
+            mat[i * (k + 1), i * (k + 1)] += weight * p
+        mat[k + 1, k + 1] -= gap
+        mat[2 * (k + 1), 2 * (k + 1)] += gap
+        w = Witness(op=BipartiteOperator(k, k, mat.astype(complex)))
+        res = mirror(w, restarts=2, seed=38)
+        assert abs(res.mu - p) < 1e-12
+        assert np.linalg.norm(w.op.mat) < 1.0
+        assert res.opt.restarts_converged == 2
+        # the runner-up would agree at the mirror's scale, but not at W's
+        assert 1e-6 < res.opt.spread < 1e-6 * np.linalg.norm(res.w_m.mat)
+        assert res.opt.restarts_agreeing == 1
+        assert res.verdict == "inconclusive"
 
     def test_verdicts_match_a_min_search_on_the_mirror(self, monkeypatch):
         # reference rule: judge mu I - W by is_block_positive, which runs a
@@ -400,6 +429,11 @@ class TestBoost:
         with pytest.raises(BadParamError):
             boost_witness(w, max_entangled(2, 2), t=1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_weight_must_be_non_negative_and_finite(self, gamma_witness, t):
+        with pytest.raises(BadParamError, match=f"t={t} must be non-negative"):
+            boost_witness(gamma_witness, max_entangled(3, 3), t=t)
+
 
 class TestLocalFilter:
     def test_bell_gives_trivial_filter(self):
@@ -500,16 +534,18 @@ class TestDetectNpt:
         assert all(c.witness.op.mat.tobytes() == first for c in certs)
 
     def test_boost_direction_transposed_once(self, monkeypatch):
+        # PT(|Psi_d><Psi_d|) is built from the vector Psi_d itself, so a warm
+        # detection Schmidt-decomposes psi alone
         rho = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()
         first = detect_npt(rho, restarts=64, seed=3)  # warms the base cache
         calls = []
-        exact = witness._pt_projector
+        exact = PureState.from_vector.__func__
 
-        def counting(psi):
-            calls.append(psi)
-            return exact(psi)
+        def counting(cls, vec, m, n):
+            calls.append(vec)
+            return exact(cls, vec, m, n)
 
-        monkeypatch.setattr(witness, "_pt_projector", counting)
+        monkeypatch.setattr(PureState, "from_vector", classmethod(counting))
         again = detect_npt(rho, restarts=64, seed=3)
         assert len(calls) == 1
         assert again.witness.op.mat.tobytes() == first.witness.op.mat.tobytes()
@@ -581,6 +617,13 @@ def test_spectral_report_rejects_a_trivial_factor(m, n):
 def test_family_params_reject_bad_sizes(m, n):
     with pytest.raises(BadParamError):
         FamilyParams(1.0, 0.0, 0.0, 0.0, m, n)
+
+
+@pytest.mark.parametrize("key", ["z", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_ndew_params_must_be_positive_and_finite(key, value):
+    with pytest.raises(BadParamError, match=f"^{key}={value} must be positive"):
+        NdewParams(**{key: value})
 
 
 def test_ndew_params_take_no_boost_weight():

@@ -12,7 +12,7 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 405 entries.  286 suite entries cover all eight suites:
+The grid has 412 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -39,14 +39,18 @@ each ``detect`` output; and ``blockpos --mode verdict``, ``mirror`` and
 output, so its digest covers empty bytes and its exit code; an uncaught
 exception stands in for the exit code by its type name.
 
-53 more CLI entries cover the named states, the mirror rule and the size
+56 more CLI entries cover the named states, the mirror rule and the size
 checks: ``state`` for every canonical name at its defaults (12); ``state``
 with each parameter varied, a key the state does not take, and the sizes
-m=2.5 n=3.9, l=1.5 and m=3.0 (28); ``family`` twice at 2x2 (one of them
-the transposed Bell projector) and once at 3x3 (3); ``mirror`` on that
+m=2.5 n=3.9, l=1.5, m=3.0, m=1e309, l=1e309 and m=nan (31); ``family``
+twice at 2x2 (one of them the transposed Bell projector) and once at 3x3
+(3); ``mirror`` on that
 transposed Bell projector, whose mirror is PSD, and on its negation, whose
 trace is -1 (2); and ``verify`` of every suite at the trivial size (1,1)
 with 3 samples (8).
+
+4 CLI entries run ``ndew`` on ``gamma`` with ``--z`` or ``--delta`` at
+``nan`` or ``inf``, which are rejected before the see-saw runs.
 
 36 last CLI entries run ``mirror`` at ``--restarts`` 2 and 4 on the
 decomposable witnesses ``sample_dew(m, n, x=0.3, seed)`` at 2x2, 2x3 and
@@ -109,6 +113,10 @@ STATE_PARAMS = (
     ("gamma", ("bogus=1",)), ("zeta1", ("n=3",)), ("rho_b", ("a=0.5",)),
     ("zeta2", ("m=2.5", "n=3.9")), ("zeta1", ("l=1.5",)),
     ("rho1", ("m=3.0",)), ("zeta1", ("m=3.0", "l=2.0")),
+    ("zeta2", ("m=1e309",)), ("zeta1", ("l=1e309",)), ("zeta2", ("m=nan",)),
+)
+NDEW_NON_FINITE = (
+    ("--z", "nan"), ("--z", "inf"), ("--delta", "nan"), ("--delta", "inf"),
 )
 DEW_SIZES = ((2, 2), (2, 3), (3, 3))
 DEW_SEEDS = range(6)
@@ -195,6 +203,9 @@ def cli_digests() -> dict:
         for suite in verify.SUITE_NAMES:
             run(f"verify {suite} (1,1)",
                 ["verify", "--suite", suite, "--m", "1", "--n", "1", "--samples", "3"])
+        for option, value in NDEW_NON_FINITE:
+            run(f"ndew {option} {value} gamma",
+                ["ndew", "--input", ndew_files["gamma"][0], option, value])
         for m, n in DEW_SIZES:
             for seed in DEW_SEEDS:
                 dew = os.path.join(tmp, f"dew{m}x{n}_{seed}.json")
