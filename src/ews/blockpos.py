@@ -20,6 +20,8 @@ from .linalg import BipartiteOperator, eig_hermitian, fro_norm, is_psd, pt_mat
 from .states import _require_seed, haar_vector
 
 SEESAW_ITER_CAP = 500
+# A search in which no restart has converged within this many rounds fails.
+SEESAW_ITER_CEILING = 20 * SEESAW_ITER_CAP
 SEESAW_VALUE_TOL = 1e-12
 DEFAULT_RESTARTS = 64
 AGREE_TOL = 1e-6
@@ -83,9 +85,14 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
 
     The live restarts' vectors and values are carried from one iteration
     to the next; a restart's vectors and value are written into the
-    per-restart arrays only in the iteration it converges.  Restarts still
-    live at SEESAW_ITER_CAP are dropped, since only converged restarts
-    enter the result.
+    per-restart arrays only in the iteration it converges.  The search
+    stops after SEESAW_ITER_CAP rounds if a restart has converged by then;
+    the restarts still live are dropped, since only converged restarts
+    enter the result.  If none has, the live restarts step on, and the
+    search stops in the round in which the first of them converges, with
+    the restarts converged in that round as its result.  Only when no
+    restart converges within SEESAW_ITER_CEILING rounds does it raise
+    NoConvergedRestartError.
 
     Restart r starts from default_rng(seed ^ r), so seeds that map
     range(restarts) onto itself under XOR share one start set, in another
@@ -112,7 +119,7 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     live = np.arange(restarts)
     prev = np.full(restarts, sign * np.inf)
     total_iters = 0
-    for _ in range(SEESAW_ITER_CAP):
+    for rounds in range(1, SEESAW_ITER_CEILING + 1):
         total_iters += live.size
         _, b_live = _extreme_eigvec(_reduced_on_b(w4, a_live), mode)
         val, a_live = _extreme_eigvec(_reduced_on_a(w4, b_live), mode)
@@ -133,12 +140,13 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
             converged[idx] = True
             keep = ~done
             live, a_live, val = live[keep], a_live[keep], val[keep]
-            if live.size == 0:
-                break
+        if live.size == 0 or (rounds >= SEESAW_ITER_CAP and converged.any()):
+            break
         prev = val
     if not converged.any():
         raise NoConvergedRestartError(
-            f"none of {restarts} restarts converged within {SEESAW_ITER_CAP} iterations"
+            f"none of {restarts} restarts converged within "
+            f"{SEESAW_ITER_CEILING} iterations"
         )
     idx = np.flatnonzero(converged)
     conv_vals = vals[idx]
@@ -195,7 +203,7 @@ def is_block_positive(
         opt = product_expectation_min(op, restarts=restarts, seed=seed)
     except NoConvergedRestartError:
         return BlockPositivityVerdict(
-            "inconclusive", None, restarts, 0, restarts * SEESAW_ITER_CAP, 0
+            "inconclusive", None, restarts, 0, restarts * SEESAW_ITER_CEILING, 0
         )
     scale = max(1.0, fro_norm(op.mat))
     if opt.value < -1e-9 * scale:

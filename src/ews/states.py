@@ -83,6 +83,9 @@ class PureState:
         """Schmidt-decompose a dense unit vector of length m*n."""
         vec = np.asarray(vec, dtype=complex).reshape(m * n)
         norm = np.linalg.norm(vec)
+        # the norm is NaN exactly when an entry is
+        if np.isnan(norm):
+            raise BadParamError("vector has NaN entries")
         if abs(norm - 1.0) > 1e-9:
             raise NormViolationError(f"vector norm {norm} != 1")
         u, s, v = linalg.svd(vec.reshape(m, n))
@@ -104,6 +107,7 @@ def pure_from_schmidt(coeffs, m: int, n: int) -> PureState:
     Accepts square sums within 1e-6 of one (printed reference values are
     rounded to about six digits) and renormalizes exactly.
     """
+    _require_dims(m, n)
     coeffs = np.asarray(coeffs, dtype=float)
     if np.any(coeffs <= 0):
         raise BadSpectrumError("Schmidt coefficients must be positive")
@@ -125,6 +129,7 @@ def max_entangled(m: int, n: int, j: int = 1) -> PureState:
     Valid for 1 <= j <= floor(n/m); consecutive j values occupy disjoint
     blocks of the second factor.
     """
+    _require_dims(m, n)
     if not 1 <= j <= n // m:
         raise IndexOutOfRangeError(f"j={j} outside 1..{n // m} for dims ({m},{n})")
     coeffs = np.full(m, 1.0 / np.sqrt(m))
@@ -419,6 +424,7 @@ def random_state(kind: str, m: int, n: int, rank: int | None = None, seed: int =
     """Seeded sampler: kind 'pure_haar' gives a PureState, 'density_wishart'
     a PSD unit-trace BipartiteOperator of the requested rank."""
     _require_seed(seed)
+    _require_dims(m, n)
     d = m * n
     rng = np.random.default_rng(seed)
     if kind == "pure_haar":

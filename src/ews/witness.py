@@ -100,7 +100,8 @@ class FamilyParams:
                 raise BadParamError(f"weight {name}={w} outside [0, 1]")
         if abs(self.a + self.b + self.c + self.d - 1.0) > 1e-12:
             raise BadParamError("weights must sum to 1")
-        if not 2 <= self.m <= self.n:
+        states._require_dims(self.m, self.n)
+        if self.m > self.n:
             raise BadParamError(f"dims ({self.m}, {self.n}) need 2 <= m <= n")
 
 
@@ -166,6 +167,7 @@ def sample_dew(
     the sample could never acquire a negative eigenvalue."""
     if not 0.0 <= x < 1.0:
         raise BadParamError(f"x={x} outside [0, 1)")
+    states._require_dims(m, n)
     states._require_seed(seed)
     d = m * n
     rank_p = rank_p or d

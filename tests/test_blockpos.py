@@ -12,7 +12,7 @@ from ews.blockpos import (
     product_vector_in_subspace,
     zero_pattern_check,
 )
-from ews.errors import BadParamError, NoConvergenceError
+from ews.errors import BadParamError, NoConvergedRestartError, NoConvergenceError
 from ews.linalg import BipartiteOperator, eig_hermitian, kron, pt_mat
 from ews.states import haar_vector, max_entangled, pure_from_schmidt, tiles_upb_state
 
@@ -316,14 +316,28 @@ class TestEvidenceRule:
         assert verdict.value > 0.0
 
     def test_no_converged_restart_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(blockpos, "SEESAW_ITER_CAP", 1)
         op = witness._base_witness("gamma1", 64).op
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CAP", 1)
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CEILING", 1)
         verdict = is_block_positive(op, restarts=8, seed=0)
         assert verdict.status == "inconclusive"
         assert verdict.restarts_converged == 0
         assert verdict.restarts_agreeing == 0
         assert verdict.iterations == 8
         assert verdict.value is None
+
+    def test_search_steps_past_the_cap_until_a_restart_converges(self, monkeypatch):
+        op = witness._base_witness("gamma1", 64).op
+        full = product_expectation_min(op, restarts=8, seed=0)
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CAP", 1)
+        opt = product_expectation_min(op, restarts=8, seed=0)
+        # every restart is live until the round in which the first converge
+        assert 1 <= opt.restarts_converged < full.restarts_converged
+        assert opt.iterations % 8 == 0 and 8 < opt.iterations < full.iterations
+        assert abs(product_expectation(op, opt.vec_a, opt.vec_b) - opt.value) < 1e-12
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CEILING", 2)
+        with pytest.raises(NoConvergedRestartError, match="within 2 iterations"):
+            product_expectation_min(op, restarts=8, seed=0)
 
 
 class TestProductVectorInSubspace:

@@ -521,3 +521,11 @@ def test_state_normalized_false_gives_the_raw_diagonal(value, capsys):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert [entries[5 * i][0] for i in range(4)] == [2.0, 2.0, 2.0, 1.0]
+
+
+def test_mirror_outlasting_the_seesaw_cap_exits_0(capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "stall_mirror_3x3.json")
+    code, out, _ = run(
+        ["mirror", "--input", fixture, "--restarts", "4", "--seed", "217065368"], capsys
+    )
+    assert code == 0 and json.loads(out)["verdict"] == "inconclusive"

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ews.errors import BadParamError, LengthMismatchError, NotHermitianError
+from ews import linalg
+from ews.errors import (
+    BadParamError,
+    LengthMismatchError,
+    NoConvergenceError,
+    NotHermitianError,
+)
 from ews.linalg import (
     NEG_EIG_TOL,
     BipartiteOperator,
@@ -147,6 +153,27 @@ class TestEigHermitian:
     def test_zero_matrix(self):
         eig = eig_hermitian(np.zeros((4, 4), dtype=complex))
         assert np.array_equal(eig.values, np.zeros(4))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bitwise_equal_to_numpy_eigh(self, k):
+        # eig_hermitian calls the gufunc behind numpy.linalg.eigh by a
+        # private name; a numpy that moves or changes it fails here
+        rng = np.random.default_rng(k)
+        for depth in ((), (0,), (1,), (2,), (7,), (64,), (3, 4)):
+            g = rng.standard_normal(depth + (k, k)) + 1j * rng.standard_normal(depth + (k, k))
+            h = (g + g.swapaxes(-1, -2).conj()) / 2.0
+            vals, vecs = np.linalg.eigh(h)
+            eig = eig_hermitian(h)
+            assert np.array_equal(eig.values, vals[..., ::-1])
+            assert np.array_equal(eig.vectors, vecs[..., ::-1])
+
+    def test_nan_eigenvalues_raise_no_convergence(self, monkeypatch):
+        def failed(h, signature):
+            return np.full(h.shape[:-1], np.nan), np.full(h.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(linalg, "_eigh_lo", failed)
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            eig_hermitian(np.eye(3, dtype=complex))
 
 
 class TestSvd:

@@ -431,3 +431,10 @@ def test_pure_state_rejects_nan_entries():
             pure_from_schmidt(coeffs, 2, 2)
     with pytest.raises(BadParamError, match="not orthonormal"):
         PureState(2, 2, [1.0], [[np.nan, 0.0]], np.eye(2)[:1])
+
+
+def test_from_vector_rejects_a_nan_vector_before_the_svd():
+    vec = np.full(4, 0.5, dtype=complex)
+    vec[2] = np.nan
+    with pytest.raises(BadParamError, match="NaN entries"):
+        PureState.from_vector(vec, 2, 2)

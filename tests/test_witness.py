@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,9 @@ from ews.witness import (
 )
 
 SQRT2 = np.sqrt(2.0)
+# a 3x3 decomposable witness on which none of 4 max-search restarts at seed
+# 217065368 converges within SEESAW_ITER_CAP rounds
+SLOW_MIRROR = pathlib.Path(__file__).with_name("stall_mirror_3x3.json")
 
 
 def test_witness_trace_other_than_one_raises_a_typed_error():
@@ -343,6 +348,15 @@ class TestMirror:
         )
         with pytest.raises(BadParamError):
             mirror(w, restarts=8, seed=3)
+
+    def test_search_outlasting_the_cap_is_inconclusive(self):
+        op = linalg.read_operator(str(SLOW_MIRROR))
+        res = mirror(Witness(op=op, class_tag=TAG_DEW), restarts=4, seed=217065368)
+        assert res.verdict == "inconclusive"
+        assert res.opt.restarts_converged == 1 and not res.opt.backed
+        assert res.opt.iterations > 4 * blockpos.SEESAW_ITER_CAP
+        v = kron(res.opt.vec_a, res.opt.vec_b)
+        assert abs(np.vdot(v, op.mat @ v).real - res.mu) < 1e-12
 
 
 class TestNdewFromEdge:
@@ -642,3 +656,19 @@ def test_seesaw_callers_reject_fewer_than_one_restart(restarts):
         mirror(pure_pt_witness(max_entangled(2, 2)), restarts=restarts)
     with pytest.raises(BadParamError):
         ndew_from_edge(canonical_state("rho_b", b=0.9), restarts=restarts)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_dew(2.5, 2, 0.3),
+        lambda: random_state("pure_haar", 2.5, 2),
+        lambda: max_entangled(2.5, 3),
+        lambda: pure_from_schmidt([1.0], 2.5, 2),
+        lambda: w_family(FamilyParams(1, 0, 0, 0, 2.5, 3)),
+    ],
+    ids=["sample_dew", "random_state", "max_entangled", "pure_from_schmidt", "w_family"],
+)
+def test_non_integral_sizes_fail_at_the_boundary(call):
+    with pytest.raises(BadParamError, match=r"local dimensions \(2.5, [23]\) must be integers"):
+        call()

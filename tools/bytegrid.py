@@ -12,7 +12,7 @@ digest is the SHA-256 of the output bytes followed by the exit code.
 Prints the entries whose digests differ and exits 1 if any do, 0 if none
 do, and 2 if the revision or a tree cannot be run.
 
-The grid has 412 entries.  286 suite entries cover all eight suites:
+The grid has 413 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -52,11 +52,15 @@ with 3 samples (8).
 4 CLI entries run ``ndew`` on ``gamma`` with ``--z`` or ``--delta`` at
 ``nan`` or ``inf``, which are rejected before the see-saw runs.
 
-36 last CLI entries run ``mirror`` at ``--restarts`` 2 and 4 on the
+36 more CLI entries run ``mirror`` at ``--restarts`` 2 and 4 on the
 decomposable witnesses ``sample_dew(m, n, x=0.3, seed)`` at 2x2, 2x3 and
 3x3, seeds 0 to 5.  Six of them answer ``inconclusive``, where the restarts
 of the max search settle at different local maxima; the rest answer
 ``mirror-EW``.
+
+The last CLI entry runs ``mirror --restarts 4 --seed 217065368`` on the 3x3
+witness in ``tests/stall_mirror_3x3.json``, where none of the four
+restarts converges within ``blockpos.SEESAW_ITER_CAP`` rounds.
 """
 
 from __future__ import annotations
@@ -118,6 +122,7 @@ STATE_PARAMS = (
 NDEW_NON_FINITE = (
     ("--z", "nan"), ("--z", "inf"), ("--delta", "nan"), ("--delta", "inf"),
 )
+SLOW_MIRROR = os.path.join(ROOT, "tests", "stall_mirror_3x3.json")
 DEW_SIZES = ((2, 2), (2, 3), (3, 3))
 DEW_SEEDS = range(6)
 FAMILY_ARGS = (
@@ -213,6 +218,8 @@ def cli_digests() -> dict:
                 for restarts in ("2", "4"):
                     run(f"mirror dew {m}x{n} seed={seed} --restarts {restarts}",
                         ["mirror", "--input", dew, "--restarts", restarts])
+        run("mirror slow 3x3 --restarts 4 --seed 217065368",
+            ["mirror", "--input", SLOW_MIRROR, "--restarts", "4", "--seed", "217065368"])
     return out
 
 
