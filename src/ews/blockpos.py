@@ -45,8 +45,9 @@ class OptResult:
 
     @property
     def backed(self) -> bool:
-        """The see-saw evidence: min(restarts tried, AGREE_MIN) agree."""
-        return self.restarts_agreeing >= min(self.restarts_tried, AGREE_MIN)
+        """The see-saw evidence: at least AGREE_MIN restarts agree, so a
+        search of fewer restarts never backs its value."""
+        return self.restarts_agreeing >= AGREE_MIN
 
 
 @dataclass
@@ -60,18 +61,18 @@ class BlockPositivityVerdict:
     value: float | None = None
 
 
-def _reduced_on_b(w4: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("ri,ijkl,rk->rjl", a.conj(), w4, a)
-
-
-def _reduced_on_a(w4: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("rj,ijkl,rl->rik", b.conj(), w4, b)
+def _reduced(wv: np.ndarray, v: np.ndarray, keep: int, dim: int) -> np.ndarray:
+    """<v|W|v> on the other party, a (keep, keep) matrix for each row of
+    the (r, dim) stack v.  wv is W's tensor with v's bra index first and
+    v's ket index last, shape (dim, keep*keep*dim): one matmul contracts the
+    bra index with conj(v), a batched one the ket index with v."""
+    return ((v.conj() @ wv).reshape(-1, keep, keep, dim) @ v[:, None, :, None])[..., 0]
 
 
 def _extreme_eigvec(h: np.ndarray, mode: str):
     """Extreme eigenvalue and eigenvector of each matrix in an (r, k, k)
-    stack, after symmetrising away roundoff."""
-    h = (h + h.swapaxes(-1, -2).conj()) / 2.0
+    stack.  The stack is Hermitian up to the rounding of its reduction,
+    which `eig_hermitian` checks; LAPACK reads its lower triangle."""
     eig = eig_hermitian(h)
     if mode == "min":
         return eig.values[:, -1], eig.vectors[:, :, -1]
@@ -94,22 +95,24 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     restart converges within SEESAW_ITER_CEILING rounds does it raise
     NoConvergedRestartError.
 
-    Restart r starts from default_rng(seed ^ r), so seeds that map
-    range(restarts) onto itself under XOR share one start set, in another
-    order: at 64 restarts every seed in 0..63 searches the same 64 starts
-    and returns the same value after the same number of iterations.
+    Restart r starts from a Haar vector drawn from default_rng([seed, r]),
+    so every (seed, restart) pair has its own start and two seeds never
+    share a start set.
     """
     if restarts < 1:
         raise BadParamError(f"restarts must be at least 1, got {restarts}")
     _require_seed(seed)
     m, n = op.m, op.n
+    # W[i, j, k, l] laid out for the two reductions: (i; j, l, k) to trace
+    # out a, (j; i, k, l) to trace out b
     w4 = op.mat.reshape(m, n, m, n)
+    wa = w4.transpose(0, 1, 3, 2).reshape(m, n * n * m)
+    wb = w4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
     sign = 1.0 if mode == "min" else -1.0
 
-    # restart r starts from a Haar vector a drawn from default_rng(seed ^ r);
-    # the first half-step overwrites b
+    # the first half-step overwrites b, so only a is drawn
     a_live = np.array(
-        [haar_vector(m, np.random.default_rng(seed ^ r)) for r in range(restarts)],
+        [haar_vector(m, np.random.default_rng([seed, r])) for r in range(restarts)],
         dtype=complex,
     ).reshape(restarts, m)
     a = np.empty_like(a_live)
@@ -121,8 +124,8 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     total_iters = 0
     for rounds in range(1, SEESAW_ITER_CEILING + 1):
         total_iters += live.size
-        _, b_live = _extreme_eigvec(_reduced_on_b(w4, a_live), mode)
-        val, a_live = _extreme_eigvec(_reduced_on_a(w4, b_live), mode)
+        _, b_live = _extreme_eigvec(_reduced(wa, a_live, n, m), mode)
+        val, a_live = _extreme_eigvec(_reduced(wb, b_live, m, n), mode)
         delta = sign * (val - prev)
         # each half-step is an exact local optimization, so the value
         # sequence must be monotone up to roundoff; NaN fails this too

@@ -166,26 +166,28 @@ def test_negative_seed_rejected(search):
 
 
 def loop_seesaw(op, restarts, seed, mode):
-    """Reference see-saw: one restart at a time, one 2-D eigensolve per
-    half-step.  Returns (best value, converged values, iterations)."""
+    """Reference see-saw: one restart at a time, one 2-D eigensolve of the
+    raw reduced matrix per half-step.  Returns (best value, converged
+    values, iterations)."""
     m, n = op.m, op.n
     w4 = op.mat.reshape(m, n, m, n)
+    wa = w4.transpose(0, 1, 3, 2).reshape(m, n * n * m)
+    wb = w4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
     better = (lambda x, y: x < y) if mode == "min" else (lambda x, y: x > y)
 
     def extreme(h):
-        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        vals, vecs = np.linalg.eigh(h)
         i = 0 if mode == "min" else -1
         return vals[i], vecs[:, i]
 
     best, converged, iters = None, [], 0
     for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        a = haar_vector(m, rng)
+        a = haar_vector(m, np.random.default_rng([seed, r]))
         prev = np.inf if mode == "min" else -np.inf
         for _ in range(blockpos.SEESAW_ITER_CAP):
             iters += 1
-            _, b = extreme(np.einsum("i,ijkl,k->jl", a.conj(), w4, a))
-            val, a = extreme(np.einsum("j,ijkl,l->ik", b.conj(), w4, b))
+            _, b = extreme((a.conj() @ wa).reshape(n, n, m) @ a)
+            val, a = extreme((b.conj() @ wb).reshape(m, m, n) @ b)
             if abs(val - prev) < blockpos.SEESAW_VALUE_TOL:
                 converged.append(val)
                 if best is None or better(val, best):
@@ -209,6 +211,47 @@ def test_batched_seesaw_matches_restart_loop(dims, mode):
         assert got.restarts_converged == len(converged)
         assert got.restarts_agreeing == sum(abs(v - value) <= tol for v in converged)
         assert got.iterations == iters
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 64])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
+def test_matmul_reductions_match_an_einsum_reference(dims, restarts):
+    m, n = dims
+    rng = np.random.default_rng([m, n, restarts])
+    op = random_bipartite(m, n, rng=rng)
+    w4 = op.mat.reshape(m, n, m, n)
+    wa = w4.transpose(0, 1, 3, 2).reshape(m, n * n * m)
+    wb = w4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
+    a = np.array([haar_vector(m, rng) for _ in range(restarts)])
+    b = np.array([haar_vector(n, rng) for _ in range(restarts)])
+    tol = 1e-13 * np.linalg.norm(op.mat)
+    on_b = blockpos._reduced(wa, a, n, m)
+    on_a = blockpos._reduced(wb, b, m, n)
+    assert on_b.shape == (restarts, n, n) and on_a.shape == (restarts, m, m)
+    assert np.abs(on_b - np.einsum("ri,ijkl,rk->rjl", a.conj(), w4, a)).max() < tol
+    assert np.abs(on_a - np.einsum("rj,ijkl,rl->rik", b.conj(), w4, b)).max() < tol
+
+
+def test_seeds_search_different_starts(monkeypatch):
+    # restart r starts from default_rng([seed, r]); with default_rng(seed ^ r)
+    # seeds 0 and 1 both drew the starts of 0..63 at 64 restarts
+    starts = []
+    exact = blockpos.haar_vector
+
+    def recorded(dim, rng):
+        v = exact(dim, rng)
+        starts.append(v)
+        return v
+
+    monkeypatch.setattr(blockpos, "haar_vector", recorded)
+    op = random_bipartite(3, 3, rng=np.random.default_rng(7))
+    drawn = {}
+    for seed in (0, 1):
+        starts.clear()
+        product_expectation_min(op, restarts=64, seed=seed)
+        drawn[seed] = {v.tobytes() for v in starts}
+        assert len(drawn[seed]) == 64
+    assert not drawn[0] & drawn[1]
 
 
 class TestSeesawMax:
@@ -314,6 +357,26 @@ class TestEvidenceRule:
         assert verdict.restarts_converged == 8
         assert verdict.restarts_agreeing < blockpos.AGREE_MIN
         assert verdict.value > 0.0
+
+    def test_backed_needs_agree_min_agreeing_restarts(self):
+        def opt(tried, agreeing):
+            v = np.ones(1, dtype=complex)
+            return blockpos.OptResult(0.0, v, v, tried, agreeing, agreeing, 0.0, 1)
+
+        assert blockpos.AGREE_MIN == 4
+        for tried in (1, 2, 3):
+            assert not opt(tried, tried).backed
+        assert not opt(64, 3).backed
+        assert opt(4, 4).backed and opt(64, 4).backed
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_fewer_than_agree_min_restarts_are_never_yes_heuristic(self, restarts):
+        ops = (witness._base_witness("gamma1", 64).op, generalized_choi(2.0, 0.0, 1.0))
+        for op in ops:
+            for seed in range(4):
+                verdict = is_block_positive(op, restarts=restarts, seed=seed)
+                assert verdict.status == "inconclusive"
+                assert verdict.restarts_agreeing <= restarts
 
     def test_no_converged_restart_is_inconclusive(self, monkeypatch):
         op = witness._base_witness("gamma1", 64).op

@@ -381,6 +381,15 @@ def test_seesaw_commands_reject_fewer_than_one_restart(tmp_path, capsys, restart
         assert "restarts must be at least 1" in err, argv
 
 
+@pytest.mark.parametrize("restarts", ["1", "2", "3"])
+def test_ndew_below_agree_min_restarts_exits_2(tmp_path, capsys, restarts):
+    gamma = str(tmp_path / "gamma.json")
+    run(["state", "--name", "gamma", "--out", gamma], capsys)
+    code, out, err = run(["ndew", "--input", gamma, "--restarts", restarts], capsys)
+    assert (code, out) == (2, "")
+    assert "margin estimate not reproducible" in err
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     neg = _write_matrix(tmp_path / "neg.json", 2, 2, [-0.5, 0.5, 0.5, 0.5])
     bell = str(tmp_path / "bell.json")

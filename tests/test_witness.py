@@ -282,13 +282,36 @@ class TestMirror:
         assert res.verdict == "mirror-EW"
         assert second_searches == []
 
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_fewer_than_agree_min_restarts_answer_mirror_ew_only_by_proof(
+        self, restarts
+    ):
+        for m, n in ((2, 2), (2, 3), (3, 3)):
+            for seed in range(4):
+                w = sample_dew(m, n, 0.3, seed=seed)
+                res = mirror(w, restarts=restarts, seed=seed)
+                assert not res.opt.backed
+                if res.verdict == "mirror-EW":
+                    assert linalg.is_psd(pt_mat(res.w_m.mat, m, n))
+        # W = A^PT as in the proof test above: PT(mu I - W) = mu I - A is PSD
+        phi = np.array([0, 1, 1, 0]) / SQRT2
+        a_mat = 0.6 * np.diag([1.0, 0, 0, 0]) + 0.4 * np.outer(phi, phi)
+        w = Witness(
+            op=BipartiteOperator(2, 2, pt_mat(a_mat.astype(complex), 2, 2)),
+            class_tag=TAG_DEW,
+        )
+        res = mirror(w, restarts=restarts, seed=0)
+        assert abs(res.mu - 0.6) < 1e-10
+        assert not res.opt.backed
+        assert res.verdict == "mirror-EW"
+
     def test_restarts_agree_at_the_scale_of_w_not_of_the_mirror(self):
         # on 6x6, W = p(|00><00| + |11><11| + (|22><22| + |33><33|)/2
         # + 1.2|Phi><Phi|), Phi = (|23> + |32>)/sqrt2, p = 1/4.2, with 1.2e-6
         # moved from <11|W|11> to <22|W|22>: the max search has local maxima
         # p at |00> and p - 1.2e-6 at |11>, ||W||_F < 1 < ||mu I - W||_F, and
-        # neither the mirror nor its partial transpose is PSD.  At seed 38
-        # one of the two restarts settles at each maximum.
+        # neither the mirror nor its partial transpose is PSD.  At seed 26
+        # three of the four restarts settle at p and one at p - 1.2e-6.
         k, p, gap = 6, 1.0 / 4.2, 1.2e-6
         phi = np.zeros(k * k)
         phi[2 * k + 3] = phi[3 * k + 2] = 1.0 / SQRT2
@@ -298,13 +321,14 @@ class TestMirror:
         mat[k + 1, k + 1] -= gap
         mat[2 * (k + 1), 2 * (k + 1)] += gap
         w = Witness(op=BipartiteOperator(k, k, mat.astype(complex)))
-        res = mirror(w, restarts=2, seed=38)
+        res = mirror(w, restarts=4, seed=26)
         assert abs(res.mu - p) < 1e-12
         assert np.linalg.norm(w.op.mat) < 1.0
-        assert res.opt.restarts_converged == 2
-        # the runner-up would agree at the mirror's scale, but not at W's
+        assert res.opt.restarts_converged == 4
+        # the runner-up would agree at the mirror's scale, making four, but
+        # not at W's
         assert 1e-6 < res.opt.spread < 1e-6 * np.linalg.norm(res.w_m.mat)
-        assert res.opt.restarts_agreeing == 1
+        assert res.opt.restarts_agreeing == 3
         assert res.verdict == "inconclusive"
 
     def test_verdicts_match_a_min_search_on_the_mirror(self, monkeypatch):
@@ -398,10 +422,19 @@ class TestNdewFromEdge:
         with pytest.raises(NotPPTError):
             ndew_from_edge(max_entangled(3, 3).projector(), restarts=8, seed=0)
 
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_fewer_than_agree_min_restarts_never_certify(self, restarts):
+        # every restart may agree, yet fewer than AGREE_MIN of them back
+        # nothing: a single local minimum once certified a witness that is
+        # not block positive
+        for seed in range(6):
+            with pytest.raises(NoConvergedRestartError, match="not reproducible"):
+                ndew_from_edge(canonical_state("gamma"), restarts=restarts, seed=seed)
+
     def test_margin_backed_by_too_few_restarts_rejected(self):
         # two of eight restarts agree at the best value, short of four
-        with pytest.raises(NoConvergedRestartError):
-            ndew_from_edge(canonical_state("gamma"), restarts=8, seed=0)
+        with pytest.raises(NoConvergedRestartError, match="2 restarts agree"):
+            ndew_from_edge(canonical_state("gamma"), restarts=8, seed=7)
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,14 @@ grid once per tree, each in its own Python process importing that tree's
 is the SHA-256 of the ``emit_report`` JSON bytes followed by the CSV
 bytes.  A CLI entry is one ``cli.main`` call writing to ``--out``, and its
 digest is the SHA-256 of the output bytes followed by the exit code.
-Prints the entries whose digests differ and exits 1 if any do, 0 if none
-do, and 2 if the revision or a tree cannot be run.
+Each entry also has an outcome: for a suite, ``pass`` or ``fail:`` and the
+claim ids of its failed checks; for a CLI entry, its exit code and the
+``class``, ``verdict``, ``status`` and ``passed`` fields of a JSON output.
+Prints the entries whose digests differ, with their outcomes when those
+differ too, and exits 1 if any digest differs, 0 if none does, and 2 if
+the revision or a tree cannot be run.
 
-The grid has 413 entries.  286 suite entries cover all eight suites:
+The grid has 434 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -50,13 +54,14 @@ trace is -1 (2); and ``verify`` of every suite at the trivial size (1,1)
 with 3 samples (8).
 
 4 CLI entries run ``ndew`` on ``gamma`` with ``--z`` or ``--delta`` at
-``nan`` or ``inf``, which are rejected before the see-saw runs.
+``nan`` or ``inf``, which are rejected before the see-saw runs, and 3 run
+it at ``--restarts`` 1, 2 and 3, too few restarts to back a margin.
 
-36 more CLI entries run ``mirror`` at ``--restarts`` 2 and 4 on the
+54 more CLI entries run ``mirror`` at ``--restarts`` 1, 2 and 4 on the
 decomposable witnesses ``sample_dew(m, n, x=0.3, seed)`` at 2x2, 2x3 and
-3x3, seeds 0 to 5.  Six of them answer ``inconclusive``, where the restarts
-of the max search settle at different local maxima; the rest answer
-``mirror-EW``.
+3x3, seeds 0 to 5.  Below ``blockpos.AGREE_MIN`` restarts the max search
+backs no maximum, so those answer ``inconclusive``; at 4 restarts a mirror
+is ``inconclusive`` where its restarts settle at different local maxima.
 
 The last CLI entry runs ``mirror --restarts 4 --seed 217065368`` on the 3x3
 witness in ``tests/stall_mirror_3x3.json``, where none of the four
@@ -103,6 +108,7 @@ def grid():
 
 NDEW_INPUTS = (("gamma", {}), ("gamma_prime", {}), ("rho_b", {"b": 0.9}))
 BAD_RESTARTS = ("0", "-3")
+FEW_RESTARTS = ("1", "2", "3")  # below blockpos.AGREE_MIN
 # (name, --param values) of the state entries beyond the defaults
 STATE_PARAMS = (
     ("zeta1", ("m=2",)), ("zeta1", ("m=4",)), ("zeta1", ("l=5",)),
@@ -132,9 +138,22 @@ FAMILY_ARGS = (
 )
 
 
+def _cli_outcome(body: bytes, code) -> str:
+    """Exit code and the verdict fields of a JSON output."""
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        payload = None
+    fields = payload.items() if isinstance(payload, dict) else ()
+    return " ".join([f"exit {code}"] + [
+        f"{key}={value}" for key, value in fields
+        if key in ("class", "verdict", "status", "passed")
+    ])
+
+
 def cli_digests() -> dict:
-    """Digest of every CLI entry; each command's output feeds the ones
-    after it."""
+    """(digest, outcome) of every CLI entry; each command's output feeds
+    the ones after it."""
     import numpy as np
 
     from ews import cli, linalg, states, verify
@@ -153,7 +172,10 @@ def cli_digests() -> dict:
             if os.path.exists(dest):
                 with open(dest, "rb") as fh:
                     body = fh.read()
-            out[f"cli {name}"] = hashlib.sha256(body + str(code).encode()).hexdigest()
+            out[f"cli {name}"] = (
+                hashlib.sha256(body + str(code).encode()).hexdigest(),
+                _cli_outcome(body, code),
+            )
             return dest
 
         ndew_files = {}
@@ -173,6 +195,9 @@ def cli_digests() -> dict:
                          ["ndew", "--input", sigma]):
                 run(f"{argv[0]} --restarts {restarts} gamma",
                     [*argv, "--restarts", restarts])
+        for restarts in FEW_RESTARTS:
+            run(f"ndew --restarts {restarts} gamma",
+                ["ndew", "--input", sigma, "--restarts", restarts])
         p4 = sum(np.outer(v, v.conj()) for v in states.tiles_upb_vectors()[:4])
         sigma4 = os.path.join(tmp, "tiles4.json")
         linalg.write_operator(
@@ -215,7 +240,7 @@ def cli_digests() -> dict:
             for seed in DEW_SEEDS:
                 dew = os.path.join(tmp, f"dew{m}x{n}_{seed}.json")
                 linalg.write_operator(dew, sample_dew(m, n, x=0.3, seed=seed).op)
-                for restarts in ("2", "4"):
+                for restarts in ("1", "2", "4"):
                     run(f"mirror dew {m}x{n} seed={seed} --restarts {restarts}",
                         ["mirror", "--input", dew, "--restarts", restarts])
         run("mirror slow 3x3 --restarts 4 --seed 217065368",
@@ -224,7 +249,8 @@ def cli_digests() -> dict:
 
 
 def digests(src: str) -> dict:
-    """Digest of every grid entry, computed with the ews under `src`."""
+    """(digest, outcome) of every grid entry, computed with the ews under
+    `src`."""
     from ews import verify
 
     if os.path.dirname(os.path.abspath(verify.__file__)) != os.path.join(src, "ews"):
@@ -234,8 +260,10 @@ def digests(src: str) -> dict:
     for suite, m, n, samples, seed in grid():
         report = verify.run_suite(suite, m=m, n=n, samples=samples, seed=seed)
         body = verify.emit_report(report, "json") + verify.emit_report(report, "csv")
+        failed = [c.claim_id for c in report.checks if not c.passed]
         out[f"{suite} ({m},{n}) samples={samples} seed={seed}"] = (
-            hashlib.sha256(body).hexdigest()
+            hashlib.sha256(body).hexdigest(),
+            "fail: " + ", ".join(failed) if failed else "pass",
         )
     out.update(cli_digests())
     return out
@@ -275,11 +303,19 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         theirs = run_tree(tmp)
     ours = run_tree(ROOT)
+    missing = [None, None]
     differ = sorted(k for k in ours.keys() | theirs.keys()
-                    if ours.get(k) != theirs.get(k))
+                    if ours.get(k, missing)[0] != theirs.get(k, missing)[0])
+    moved = 0
     for key in differ:
-        print(f"differs: {key}  {theirs.get(key)} -> {ours.get(key)}")
+        old, old_outcome = theirs.get(key, missing)
+        new, new_outcome = ours.get(key, missing)
+        print(f"differs: {key}  {old} -> {new}")
+        if old_outcome != new_outcome:
+            moved += 1
+            print(f"  outcome: {old_outcome} -> {new_outcome}")
     print(f"{len(ours) - len(differ)}/{len(ours)} digests identical to {args.rev}")
+    print(f"{len(ours) - moved}/{len(ours)} outcomes identical to {args.rev}")
     return 1 if differ else 0
 
 
