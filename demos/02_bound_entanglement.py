@@ -35,7 +35,9 @@ for b in (0.5, 0.9, 0.99):
 rb = canonical_state("rho_b", b=0.9)
 w = ndew_from_edge(rb, NdewParams(), restarts=64, seed=7)
 print(f"\nkernel witness at b = 0.9:")
-print(f"  product-vector margin epsilon ~ {w.provenance['epsilon_estimate']:.6f}")
+print(f"  product-vector margin epsilon ~ {w.provenance['epsilon_estimate']:.6f} "
+      f"({w.provenance['restarts_agreeing']} of {w.provenance['restarts_tried']} "
+      "restarts agree)")
 print(f"  detection value tr(W rho)     = {w.provenance['expectation']:+.3e}")
 print(f"  smallest witness eigenvalue   = "
       f"{eig_hermitian(w.op.mat).values[-1]:+.6f}")

@@ -26,6 +26,9 @@ SEESAW_VALUE_TOL = 1e-12
 DEFAULT_RESTARTS = 64
 AGREE_TOL = 1e-6
 AGREE_MIN = 4
+# The restart counts behind every see-saw answer, in output order; the
+# agreement rule (`OptResult.backed`) judges the last of them.
+EVIDENCE = ("restarts_tried", "restarts_converged", "restarts_agreeing")
 
 
 @dataclass
@@ -40,7 +43,6 @@ class OptResult:
     restarts_tried: int
     restarts_converged: int
     restarts_agreeing: int
-    spread: float
     iterations: int
 
     @property
@@ -59,6 +61,11 @@ class BlockPositivityVerdict:
     iterations: int
     restarts_agreeing: int
     value: float | None = None
+
+
+def evidence(result: OptResult | BlockPositivityVerdict) -> dict:
+    """The EVIDENCE counts of a search or a verdict, keyed by name."""
+    return {key: getattr(result, key) for key in EVIDENCE}
 
 
 def _reduced(wv: np.ndarray, v: np.ndarray, keep: int, dim: int) -> np.ndarray:
@@ -164,7 +171,6 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
         restarts_tried=restarts,
         restarts_converged=len(idx),
         restarts_agreeing=int(np.sum(np.abs(conv_vals - vals[best]) <= agree_tol)),
-        spread=float(conv_vals.max() - conv_vals.min()),
         iterations=total_iters,
     )
 

@@ -99,8 +99,7 @@ def _cmd_mirror(args):
     payload = {
         "mu": res.mu,
         "verdict": res.verdict,
-        "restarts_converged": res.opt.restarts_converged,
-        "spread": res.opt.spread,
+        **blockpos.evidence(res.opt),
         "mirror_operator": operator_to_json(res.w_m),
     }
     return _json(payload, indent=2), 0
@@ -113,9 +112,7 @@ def _cmd_blockpos(args):
         payload = {
             "status": verdict.status,
             "value": verdict.value,
-            "restarts_tried": verdict.restarts_tried,
-            "restarts_converged": verdict.restarts_converged,
-            "restarts_agreeing": verdict.restarts_agreeing,
+            **blockpos.evidence(verdict),
             "counterexample_value": (
                 None if verdict.counterexample is None else verdict.counterexample[2]
             ),
@@ -130,9 +127,7 @@ def _cmd_blockpos(args):
     payload = {
         "mode": args.mode,
         "value": opt.value,
-        "restarts_tried": opt.restarts_tried,
-        "restarts_converged": opt.restarts_converged,
-        "spread": opt.spread,
+        **blockpos.evidence(opt),
         "vec_a": [[z.real, z.imag] for z in opt.vec_a],
         "vec_b": [[z.real, z.imag] for z in opt.vec_b],
     }

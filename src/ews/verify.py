@@ -383,11 +383,6 @@ def _kernel_pt_floor(sigma: BipartiteOperator) -> float:
 
 
 def _suite_ndew_constructions(m, n, samples, seed):
-    # the paper fixes its states' sizes (rho_b 2x4, rho_a and gamma 3x3)
-    if (m, n) != (3, 3):
-        raise BadParamError(
-            f"ndew_constructions runs at its default size (3, 3) only, got ({m}, {n})"
-        )
     checks = []
 
     for name, ctor, values in (
@@ -563,16 +558,17 @@ def _suite_mirror_conditions(m, n, samples, seed):
     return checks
 
 
-# name -> (suite, default sample count; 0 where the suite draws no samples)
+# name -> (suite, default sample count, 0 where the suite draws no samples;
+# the size its fixed states run at, None where it runs at any size)
 _SUITES = {
-    "dew_bounds": (_suite_dew_bounds, 10_000),
-    "ew_spectral_ranges": (_suite_ew_spectral_ranges, 10_000),
-    "dew_attainability": (_suite_dew_attainability, 0),
-    "tail_sum_bounds": (_suite_tail_sum_bounds, 1_000),
-    "absolute_ppt": (_suite_absolute_ppt, 1_000),
-    "ndew_constructions": (_suite_ndew_constructions, 0),
-    "npt_detection": (_suite_npt_detection, 50),
-    "mirror_conditions": (_suite_mirror_conditions, 0),
+    "dew_bounds": (_suite_dew_bounds, 10_000, None),
+    "ew_spectral_ranges": (_suite_ew_spectral_ranges, 10_000, None),
+    "dew_attainability": (_suite_dew_attainability, 0, None),
+    "tail_sum_bounds": (_suite_tail_sum_bounds, 1_000, None),
+    "absolute_ppt": (_suite_absolute_ppt, 1_000, None),
+    "ndew_constructions": (_suite_ndew_constructions, 0, (3, 3)),
+    "npt_detection": (_suite_npt_detection, 50, None),
+    "mirror_conditions": (_suite_mirror_conditions, 0, (3, 3)),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -584,11 +580,12 @@ def run_suite(
     """Execute a registered suite; failing checks are recorded, never raised.
 
     samples=None selects the suite's default count; otherwise it must be
-    at least 1.  m and n must both be at least 2, and ndew_constructions
-    accepts only (3, 3).  The report records the requested (m, n) even
-    where a suite runs fixed sizes: mirror_conditions ignores m and n,
-    dew_attainability uses them only for its transposed Bell projector, and
-    absolute_ppt checks its pairing bound at 3x3 whatever the size.
+    at least 1.  m and n must both be at least 2; ndew_constructions and
+    mirror_conditions run fixed states and accept only (3, 3), the size
+    their reports are keyed by.
+    Two suites run parts at a fixed size: dew_attainability uses m and n
+    only for its transposed Bell projector, and absolute_ppt checks its
+    pairing bound at 3x3 whatever the size.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(
@@ -599,8 +596,12 @@ def run_suite(
     ):
         raise BadParamError(f"samples must be an integer of at least 1, got {samples}")
     states._require_dims(m, n)
+    suite, default, size = _SUITES[name]
+    if size is not None and (m, n) != size:
+        raise BadParamError(
+            f"{name} runs at its default size {size} only, got ({m}, {n})"
+        )
     states._require_seed(seed)
-    suite, default = _SUITES[name]
     samples = default if samples is None else samples
     start = time.perf_counter()
     checks = suite(m, n, samples, seed)

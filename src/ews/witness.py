@@ -428,8 +428,7 @@ def ndew_from_edge(
             "z": params.z,
             "delta": delta,
             "epsilon_estimate": eps,
-            "epsilon_spread": opt.spread,
-            "restarts_converged": opt.restarts_converged,
+            **blockpos.evidence(opt),
             "expectation": expectation,
         },
     )
@@ -636,8 +635,7 @@ def detect_npt(
             "carrier": carrier,
             "base_expectation": base_expect,
             "base_epsilon_estimate": base.provenance["epsilon_estimate"],
-            "base_epsilon_spread": base.provenance["epsilon_spread"],
-            "base_restarts_converged": base.provenance["restarts_converged"],
+            **{"base_" + k: base.provenance[k] for k in blockpos.EVIDENCE},
         },
         filters=filters,
     )

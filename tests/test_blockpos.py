@@ -108,7 +108,9 @@ class TestSeesawMin:
         a = product_expectation_min(op, restarts=8, seed=10)
         b = product_expectation_min(op, restarts=8, seed=10)
         assert a.value == b.value
-        assert a.spread == b.spread
+        assert blockpos.evidence(a) == blockpos.evidence(b)
+        assert a.vec_a.tobytes() == b.vec_a.tobytes()
+        assert a.vec_b.tobytes() == b.vec_b.tobytes()
 
     def test_non_monotone_values_raise(self, monkeypatch):
         # a half-step that gets worse every call breaks the descent invariant
@@ -361,7 +363,7 @@ class TestEvidenceRule:
     def test_backed_needs_agree_min_agreeing_restarts(self):
         def opt(tried, agreeing):
             v = np.ones(1, dtype=complex)
-            return blockpos.OptResult(0.0, v, v, tried, agreeing, agreeing, 0.0, 1)
+            return blockpos.OptResult(0.0, v, v, tried, agreeing, agreeing, 1)
 
         assert blockpos.AGREE_MIN == 4
         for tried in (1, 2, 3):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ews
-from ews import verify, witness
+from ews import blockpos, verify, witness
 from ews.cli import build_parser, main
 from ews.errors import BadParamError
 from ews.linalg import BipartiteOperator, read_operator, write_operator
@@ -234,8 +234,64 @@ def test_ndew_and_detect_commands(tmp_path, capsys):
     pipeline = payload["pipeline"]
     assert pipeline["base"] == "gamma1"
     assert pipeline["base_epsilon_estimate"] > 0
-    assert pipeline["base_epsilon_spread"] >= 0
+    assert pipeline["base_restarts_tried"] == 64
     assert pipeline["base_restarts_converged"] == 64
+    assert pipeline["base_restarts_agreeing"] >= blockpos.AGREE_MIN
+
+
+def _keys(payload):
+    """Every key of a JSON object, those of nested objects included."""
+    if not isinstance(payload, dict):
+        return []
+    return [k for key, value in payload.items() for k in (key, *_keys(value))]
+
+
+@pytest.mark.parametrize("command", [
+    ["mirror"],
+    ["blockpos", "--mode", "min"],
+    ["blockpos", "--mode", "max"],
+    ["blockpos", "--mode", "verdict"],
+    ["ndew"],
+    ["detect"],
+])
+def test_seesaw_outputs_print_the_evidence_of_their_search(
+    command, tmp_path, capsys, searches
+):
+    sigma = str(tmp_path / "gamma.json")
+    nd = str(tmp_path / "ndew.json")
+    rho = str(tmp_path / "bell.json")
+    run(["state", "--name", "gamma", "--out", sigma], capsys)
+    run(["ndew", "--input", sigma, "--out", nd], capsys)
+    write_operator(rho, pure_from_schmidt([2**-0.5] * 2, 3, 3).projector())
+    source = {"ndew": sigma, "detect": rho}.get(command[0], nd)
+    searches.clear()
+    witness._base_witness.cache_clear()  # detect runs its base search here
+    code, out, _ = run(
+        [*command, "--input", source, "--restarts", "40", "--seed", "5"], capsys
+    )
+    assert code == 0 and searches
+    payload = json.loads(out)
+    held = {"ndew": "provenance", "detect": "pipeline"}
+    evidence = payload[held[command[0]]] if command[0] in held else payload
+    prefix = "base_" if command[0] == "detect" else ""
+    assert [k for k in evidence if k.startswith(prefix + "restarts_")] == [
+        prefix + key for key in blockpos.EVIDENCE
+    ]
+    assert {key: evidence[prefix + key] for key in blockpos.EVIDENCE} == (
+        blockpos.evidence(searches[-1])
+    )
+    assert evidence[prefix + "restarts_tried"] == 40
+    assert not [key for key in _keys(payload) if "spread" in key]
+
+
+def test_ndew_on_gamma_prints_its_agreeing_restarts(tmp_path, capsys):
+    sigma = str(tmp_path / "gamma.json")
+    run(["state", "--name", "gamma", "--out", sigma], capsys)
+    code, out, _ = run(["ndew", "--input", sigma], capsys)
+    assert code == 0
+    provenance = json.loads(out)["provenance"]
+    assert provenance["restarts_agreeing"] >= blockpos.AGREE_MIN
+    assert provenance["restarts_tried"] == blockpos.DEFAULT_RESTARTS
 
 
 def test_ndew_and_detect_output_feed_other_commands(tmp_path, capsys):
@@ -310,12 +366,13 @@ def test_verify_npt_detection_without_base_witness_exits_2(capsys):
 
 @pytest.mark.parametrize("m,n", [(4, 5), (2, 4), (3, 4)])
 def test_verify_ndew_constructions_off_its_size_exits_2(m, n, capsys):
-    code, out, err = run(
-        ["verify", "--suite", "ndew_constructions", "--m", str(m), "--n", str(n)],
-        capsys,
-    )
-    assert code == 2 and out == ""
-    assert f"runs at its default size (3, 3) only, got ({m}, {n})" in err
+    # both suites of fixed states, ndew_constructions and mirror_conditions
+    for suite in ("ndew_constructions", "mirror_conditions"):
+        code, out, err = run(
+            ["verify", "--suite", suite, "--m", str(m), "--n", str(n)], capsys
+        )
+        assert code == 2 and out == ""
+        assert f"{suite} runs at its default size (3, 3) only, got ({m}, {n})" in err
 
 
 def test_verify_zero_samples_exits_2(capsys):

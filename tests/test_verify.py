@@ -64,7 +64,7 @@ def test_absolute_ppt_small_run():
 
 
 def test_mirror_suite():
-    report = run_suite("mirror_conditions", m=2, n=2, samples=2, seed=9)
+    report = run_suite("mirror_conditions", m=3, n=3, samples=2, seed=9)
     assert report.passed, [c for c in report.checks if not c.passed]
 
 
@@ -150,6 +150,16 @@ def test_nonpositive_samples_rejected(samples):
 def test_npt_detection_rejects_sizes_without_a_base_witness(m, n):
     with pytest.raises(BadParamError):
         run_suite("npt_detection", m=m, n=n, samples=5, seed=1)
+
+
+@pytest.mark.parametrize("m,n", [(4, 5), (2, 2)])
+def test_mirror_conditions_rejects_sizes_other_than_its_own(m, n):
+    # its battery runs fixed 2x2 and 3x3 states, and its report is keyed (3, 3)
+    message = (
+        rf"mirror_conditions runs at its default size \(3, 3\) only, got \({m}, {n}\)"
+    )
+    with pytest.raises(BadParamError, match=message):
+        run_suite("mirror_conditions", m=m, n=n, seed=1)
 
 
 def test_csv_header_only_for_empty_report():

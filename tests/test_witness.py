@@ -327,7 +327,8 @@ class TestMirror:
         assert res.opt.restarts_converged == 4
         # the runner-up would agree at the mirror's scale, making four, but
         # not at W's
-        assert 1e-6 < res.opt.spread < 1e-6 * np.linalg.norm(res.w_m.mat)
+        assert res.opt.restarts_converged - res.opt.restarts_agreeing == 1
+        assert 1e-6 < gap < 1e-6 * np.linalg.norm(res.w_m.mat)
         assert res.opt.restarts_agreeing == 3
         assert res.verdict == "inconclusive"
 
@@ -435,6 +436,17 @@ class TestNdewFromEdge:
         # two of eight restarts agree at the best value, short of four
         with pytest.raises(NoConvergedRestartError, match="2 restarts agree"):
             ndew_from_edge(canonical_state("gamma"), restarts=8, seed=7)
+
+    def test_provenance_carries_the_evidence_of_its_search(self, searches):
+        w = ndew_from_edge(canonical_state("gamma"), restarts=64, seed=1)
+        (opt,) = searches
+        assert [k for k in w.provenance if k.startswith("restarts_")] == list(
+            blockpos.EVIDENCE
+        )
+        counts = {k: w.provenance[k] for k in blockpos.EVIDENCE}
+        assert counts == blockpos.evidence(opt)
+        assert w.provenance["restarts_agreeing"] >= blockpos.AGREE_MIN
+        assert not [k for k in w.provenance if "spread" in k]
 
 
 @pytest.fixture(scope="module")
@@ -603,22 +615,39 @@ class TestDetectNpt:
         cert = detect_npt(rho, restarts=64, seed=3)
         base = witness._base_witness("gamma1", 64).provenance
         assert cert.pipeline["base_epsilon_estimate"] == base["epsilon_estimate"]
-        assert cert.pipeline["base_epsilon_spread"] == base["epsilon_spread"]
-        assert cert.pipeline["base_restarts_converged"] == base["restarts_converged"]
+        for key in blockpos.EVIDENCE:
+            assert cert.pipeline["base_" + key] == base[key]
         assert cert.pipeline["base_epsilon_estimate"] > 0
         assert cert.pipeline["base_restarts_converged"] == 64
+
+    def test_pipeline_carries_the_evidence_of_the_base_search(self, searches):
+        witness._base_witness.cache_clear()  # the base search runs here
+        cert = detect_npt(max_entangled(3, 3).projector(), restarts=32, seed=3)
+        (opt,) = searches
+        assert [k for k in cert.pipeline if k.startswith("base_restarts_")] == [
+            "base_" + k for k in blockpos.EVIDENCE
+        ]
+        assert {
+            k: cert.pipeline["base_" + k] for k in blockpos.EVIDENCE
+        } == blockpos.evidence(opt)
+        assert cert.pipeline["base_restarts_tried"] == 32
+        for keys in (cert.pipeline, cert.witness.provenance):
+            assert not [k for k in keys if "spread" in k]
 
     def test_pipeline_and_provenance_share_the_trail(self):
         cert = detect_npt(max_entangled(3, 3).projector(), restarts=64, seed=3)
         assert list(cert.pipeline) == [
             "lambda_min_pt", "schmidt_rank", "base", "t", "carrier",
-            "base_expectation", "base_epsilon_estimate", "base_epsilon_spread",
-            "base_restarts_converged",
+            "base_expectation", "base_epsilon_estimate", "base_restarts_tried",
+            "base_restarts_converged", "base_restarts_agreeing",
         ]
         prov = cert.witness.provenance
         assert prov["family"] == "detect_npt"
         for key in ("lambda_min_pt", "schmidt_rank", "base", "t"):
             assert prov[key] == cert.pipeline[key]
+        base = witness._base_witness(cert.pipeline["base"], 64).provenance
+        for key in blockpos.EVIDENCE:
+            assert cert.pipeline["base_" + key] == base[key]
 
     def test_ppt_input_rejected(self):
         with pytest.raises(IsPPTError):

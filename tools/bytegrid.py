@@ -16,7 +16,7 @@ Prints the entries whose digests differ, with their outcomes when those
 differ too, and exits 1 if any digest differs, 0 if none does, and 2 if
 the revision or a tree cannot be run.
 
-The grid has 434 entries.  286 suite entries cover all eight suites:
+The grid has 436 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -52,6 +52,9 @@ twice at 2x2 (one of them the transposed Bell projector) and once at 3x3
 transposed Bell projector, whose mirror is PSD, and on its negation, whose
 trace is -1 (2); and ``verify`` of every suite at the trivial size (1,1)
 with 3 samples (8).
+
+2 CLI entries run ``verify --suite mirror_conditions`` at (2,2) and (4,5),
+sizes other than the (3,3) its fixed states run at.
 
 4 CLI entries run ``ndew`` on ``gamma`` with ``--z`` or ``--delta`` at
 ``nan`` or ``inf``, which are rejected before the see-saw runs, and 3 run
@@ -131,6 +134,7 @@ NDEW_NON_FINITE = (
 SLOW_MIRROR = os.path.join(ROOT, "tests", "stall_mirror_3x3.json")
 DEW_SIZES = ((2, 2), (2, 3), (3, 3))
 DEW_SEEDS = range(6)
+OFF_SIZE_MIRROR_SUITE = ((2, 2), (4, 5))
 FAMILY_ARGS = (
     "--a 0.25 --b 0.25 --c 0.25 --d 0.25 --m 2 --n 2".split(),
     "--a 0.2 --b 0.4 --c 0.2 --d 0.2 --m 3 --n 3".split(),
@@ -233,6 +237,9 @@ def cli_digests() -> dict:
         for suite in verify.SUITE_NAMES:
             run(f"verify {suite} (1,1)",
                 ["verify", "--suite", suite, "--m", "1", "--n", "1", "--samples", "3"])
+        for m, n in OFF_SIZE_MIRROR_SUITE:
+            run(f"verify mirror_conditions ({m},{n})",
+                ["verify", "--suite", "mirror_conditions", "--m", str(m), "--n", str(n)])
         for option, value in NDEW_NON_FINITE:
             run(f"ndew {option} {value} gamma",
                 ["ndew", "--input", ndew_files["gamma"][0], option, value])
