@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParamError, NoConvergedRestartError, NoConvergenceError
-from .linalg import BipartiteOperator, eig_hermitian, fro_norm, is_psd, pt_mat
-from .states import _require_seed, haar_vector
+from .linalg import BipartiteOperator, eig_hermitian, is_psd, pt_mat
+from .linalg import require_int, tolerance_scale
+from .states import haar_vector
 
 SEESAW_ITER_CAP = 500
 # A search in which no restart has converged within this many rounds fails.
@@ -35,7 +36,7 @@ EVIDENCE = ("restarts_tried", "restarts_converged", "restarts_agreeing")
 class OptResult:
     """Best product-vector expectation found plus restart statistics;
     restarts_agreeing counts the converged restarts within AGREE_TOL *
-    max(1, ||W||_F) of the best value, W the operator searched."""
+    tolerance_scale(W) of the best value, W the operator searched."""
 
     value: float
     vec_a: np.ndarray = field(repr=False)
@@ -76,6 +77,11 @@ def _reduced(wv: np.ndarray, v: np.ndarray, keep: int, dim: int) -> np.ndarray:
     return ((v.conj() @ wv).reshape(-1, keep, keep, dim) @ v[:, None, :, None])[..., 0]
 
 
+def _require_search(restarts, seed) -> tuple[int, int]:
+    """A search's restart count, at least 1, and seed, at least 0, as ints."""
+    return require_int("restarts", restarts, 1), require_int("seed", seed, 0)
+
+
 def _extreme_eigvec(h: np.ndarray, mode: str):
     """Extreme eigenvalue and eigenvector of each matrix in an (r, k, k)
     stack.  The stack is Hermitian up to the rounding of its reduction,
@@ -106,9 +112,7 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     so every (seed, restart) pair has its own start and two seeds never
     share a start set.
     """
-    if restarts < 1:
-        raise BadParamError(f"restarts must be at least 1, got {restarts}")
-    _require_seed(seed)
+    restarts, seed = _require_search(restarts, seed)
     m, n = op.m, op.n
     # W[i, j, k, l] laid out for the two reductions: (i; j, l, k) to trace
     # out a, (j; i, k, l) to trace out b
@@ -163,7 +167,7 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
     # the first converged restart holding the extreme value, as a loop over
     # restarts in order would keep it
     best = idx[np.argmin(sign * conv_vals)]
-    agree_tol = AGREE_TOL * max(1.0, fro_norm(op.mat))
+    agree_tol = AGREE_TOL * tolerance_scale(op.mat)
     return OptResult(
         value=float(vals[best]),
         vec_a=a[best],
@@ -200,12 +204,14 @@ def is_block_positive(
     """Three-way block-positivity check.
 
     Fast certified paths: W or W^PT positive semidefinite gives yes-psd.
-    Otherwise the see-saw minimum decides, with scale = max(1, ||W||_F): a
+    Otherwise the see-saw minimum decides, with scale = tolerance_scale(W): a
     value below -1e-9 * scale is a counterexample (no); a value of at least
     -1e-12 * scale that enough restarts back (`OptResult.restarts_agreeing`,
     judged by `OptResult.backed`) is yes-heuristic, which is evidence rather
-    than proof; everything else is inconclusive.
+    than proof; everything else is inconclusive.  Restarts and seed are
+    checked first, so a bad one raises BadParamError even for yes-psd.
     """
+    restarts, seed = _require_search(restarts, seed)
     if is_psd(op.mat) or is_psd(pt_mat(op.mat, op.m, op.n)):
         return BlockPositivityVerdict("yes-psd", None, 0, 0, 0, 0)
     try:
@@ -214,7 +220,7 @@ def is_block_positive(
         return BlockPositivityVerdict(
             "inconclusive", None, restarts, 0, restarts * SEESAW_ITER_CEILING, 0
         )
-    scale = max(1.0, fro_norm(op.mat))
+    scale = tolerance_scale(op.mat)
     if opt.value < -1e-9 * scale:
         status = "no"
     elif opt.value >= -1e-12 * scale and opt.backed:
@@ -239,6 +245,7 @@ def product_vector_in_subspace(
     `OptResult.restarts_agreeing` evidence: it is its own proof.  A basis of
     the wrong length or with rows that are not orthonormal raises BadParamError.
     """
+    m, n = require_int("m", m, 1), require_int("n", n, 1)
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
         basis = basis[None, :]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -23,13 +24,13 @@ from .errors import (
     NotHermitianError,
 )
 
-# Hermiticity defect allowed relative to max(1, ||H||_F).
+# Hermiticity defect allowed relative to tolerance_scale(H).
 HERM_RTOL = 1e-12
 # Half the squared tolerance: a sum of squares in floating point falls
 # short of its largest term by far less than a factor of two, so the fast
 # path of require_hermitian never accepts an entry the exact rule rejects.
 _FAST_DEFECT_SQ = HERM_RTOL**2 / 2
-# An eigenvalue counts as negative below -NEG_EIG_TOL * max(1, ||H||_F).
+# An eigenvalue counts as negative below -NEG_EIG_TOL * tolerance_scale(H).
 NEG_EIG_TOL = 1e-10
 # Singular values below SV_TRUNC_RTOL * ||M||_F are truncated to zero.
 SV_TRUNC_RTOL = 1e-10
@@ -39,11 +40,30 @@ def fro_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def tolerance_scale(h: np.ndarray) -> float:
+    """max(1, ||H||_F), the scale of every tolerance relative to H."""
+    return max(1.0, fro_norm(h))
+
+
+def require_int(name: str, value, low: int) -> int:
+    """`value`, an int, a numpy integer or a float holding a whole number,
+    as an int of at least `low`.  Anything else, a bool or a string
+    included, raises BadParamError naming `name`."""
+    whole = type(value) is int or (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and float(value).is_integer()
+    )
+    if not whole or value < low:
+        raise BadParamError(f"{name} must be an integer of at least {low}, got {value}")
+    return int(value)
+
+
 def require_hermitian(h: np.ndarray) -> np.ndarray:
     """Check that `h` is a Hermitian matrix, or a stack (..., k, k) of them.
 
     Each matrix may deviate from its conjugate transpose by at most
-    HERM_RTOL * max(1, ||H||_F) entrywise.
+    HERM_RTOL * tolerance_scale(H) entrywise.
 
     A one-pass fast path only ever accepts: when sum |h_ij|^2 over the
     whole stack is finite (so is every entry) and sum |d_ij|^2 of the
@@ -64,7 +84,8 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
     if not np.isfinite(h).all():
         raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
     defect = np.abs(h - h.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    with np.errstate(over="ignore"):  # an overflowing norm gives an infinite tolerance
+    # tolerance_scale per matrix; an overflowing norm gives an infinite tolerance
+    with np.errstate(over="ignore"):
         tol = HERM_RTOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
     bad = defect > tol
     if bad.any():
@@ -131,8 +152,8 @@ class BipartiteOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise BadParamError(f"dims ({self.m}, {self.n}) must both be >= 1")
+        self.m = require_int("m", self.m, 1)
+        self.n = require_int("n", self.n, 1)
         self.mat = np.asarray(self.mat, dtype=complex)
         d = self.m * self.n
         if self.mat.shape != (d, d):
@@ -177,8 +198,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def embed_operator(op: BipartiteOperator, m: int, n: int) -> BipartiteOperator:
     """Zero-pad each local factor of `op` up to dimensions (m, n)."""
-    if m < op.m or n < op.n:
-        raise BadParamError("target dimensions must not shrink the operator")
+    m, n = require_int("m", m, op.m), require_int("n", n, op.n)
     big = np.zeros((m * n, m * n), dtype=complex)
     src = op.mat.reshape(op.m, op.n, op.m, op.n)
     dst = big.reshape(m, n, m, n)
@@ -188,7 +208,7 @@ def embed_operator(op: BipartiteOperator, m: int, n: int) -> BipartiteOperator:
 
 def negative_cut(h: np.ndarray) -> float:
     """Eigenvalues of `h` below this value count as negative."""
-    return -NEG_EIG_TOL * max(1.0, fro_norm(h))
+    return -NEG_EIG_TOL * tolerance_scale(h)
 
 
 def spectrum_is_psd(values: np.ndarray, h: np.ndarray) -> bool:

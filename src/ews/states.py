@@ -7,7 +7,6 @@ reference spectra, bound entangled edge states and PPT tests.
 from __future__ import annotations
 
 import inspect
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
 )
 # eig_hermitian stays bound here: perfbench/tracer.py requires a binding of it
 # in every library module it traces.
-from .linalg import BipartiteOperator, eig_hermitian, pt_mat  # noqa: F401
+from .linalg import BipartiteOperator, eig_hermitian, pt_mat, require_int  # noqa: F401
 
 # Singular values above this threshold count toward the Schmidt rank.
 SCHMIDT_RANK_TOL = 1e-8
@@ -45,6 +44,7 @@ class PureState:
     basis_b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.m, self.n = require_int("m", self.m, 1), require_int("n", self.n, 1)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         self.basis_a = np.asarray(self.basis_a, dtype=complex)
         self.basis_b = np.asarray(self.basis_b, dtype=complex)
@@ -81,6 +81,7 @@ class PureState:
     @classmethod
     def from_vector(cls, vec: np.ndarray, m: int, n: int) -> "PureState":
         """Schmidt-decompose a dense unit vector of length m*n."""
+        m, n = require_int("m", m, 1), require_int("n", n, 1)
         vec = np.asarray(vec, dtype=complex).reshape(m * n)
         norm = np.linalg.norm(vec)
         # the norm is NaN exactly when an entry is
@@ -89,9 +90,8 @@ class PureState:
         if abs(norm - 1.0) > 1e-9:
             raise NormViolationError(f"vector norm {norm} != 1")
         u, s, v = linalg.svd(vec.reshape(m, n))
+        # d >= 1: a unit vector has a Schmidt coefficient >= 1/sqrt(min(m, n))
         d = int(np.sum(s > SCHMIDT_RANK_TOL))
-        if d == 0:
-            raise NormViolationError("vector is numerically zero")
         return cls(
             m=m,
             n=n,
@@ -107,7 +107,7 @@ def pure_from_schmidt(coeffs, m: int, n: int) -> PureState:
     Accepts square sums within 1e-6 of one (printed reference values are
     rounded to about six digits) and renormalizes exactly.
     """
-    _require_dims(m, n)
+    m, n = _require_dims(m, n)
     coeffs = np.asarray(coeffs, dtype=float)
     if np.any(coeffs <= 0):
         raise BadSpectrumError("Schmidt coefficients must be positive")
@@ -129,8 +129,9 @@ def max_entangled(m: int, n: int, j: int = 1) -> PureState:
     Valid for 1 <= j <= floor(n/m); consecutive j values occupy disjoint
     blocks of the second factor.
     """
-    _require_dims(m, n)
-    if not 1 <= j <= n // m:
+    m, n = _require_dims(m, n)
+    j = require_int("j", j, 1)
+    if j > n // m:
         raise IndexOutOfRangeError(f"j={j} outside 1..{n // m} for dims ({m},{n})")
     coeffs = np.full(m, 1.0 / np.sqrt(m))
     basis_a = np.eye(m, dtype=complex)
@@ -156,38 +157,14 @@ def pt_spectrum_pure(psi: PureState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Canonical (named) states.
 
-def _whole(key: str, value) -> int:
-    """`value` as an int; anything but a finite whole number raises
-    BadParamError naming `key`."""
-    try:
-        whole = int(value) == float(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise BadParamError(f"{key}={value} is not an integer")
-    return int(value)
-
-
-def _require_dims(m: int, n: int) -> None:
-    if not (isinstance(m, numbers.Integral) and isinstance(n, numbers.Integral)):
-        raise BadParamError(f"local dimensions ({m}, {n}) must be integers")
-    if m < 2 or n < 2:
-        raise BadParamError(f"local dimensions ({m}, {n}) must both be >= 2")
-
-
-def _require_seed(seed: int) -> None:
-    if not isinstance(seed, numbers.Integral):
-        raise BadParamError(f"seed must be an integer, got {seed}")
-    if seed < 0:
-        raise BadParamError(f"seed must be non-negative, got {seed}")
+def _require_dims(m: int, n: int) -> tuple[int, int]:
+    """Local dimensions as ints, both at least 2."""
+    return require_int("m", m, 2), require_int("n", n, 2)
 
 
 def _dims(m, n) -> tuple[int, int]:
-    """Integer local dimensions of a named state; n defaults to m."""
-    m = _whole("m", m)
-    n = m if n is None else _whole("n", n)
-    _require_dims(m, n)
-    return m, n
+    """Local dimensions of a named state; n defaults to m."""
+    return _require_dims(m, m if n is None else n)
 
 
 def _diag_state(head, m: int, n: int, normalized=True) -> BipartiteOperator:
@@ -203,10 +180,8 @@ def _diag_state(head, m: int, n: int, normalized=True) -> BipartiteOperator:
 
 
 def _zeta1(m=3, l=1) -> BipartiteOperator:
-    m, l = _whole("m", m), _whole("l", l)
-    if m < 2:
-        raise BadParamError("zeta1 requires m >= 2")
-    if not 1 <= l <= m * m:
+    m, l = require_int("m", m, 2), require_int("l", l, 1)
+    if l > m * m:
         raise BadParamError(f"l={l} outside 1..{m * m}")
     return _diag_state([(m + 1.0) / (m - 1.0)] * l, m, m)
 
@@ -410,6 +385,7 @@ def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix
     with the R diagonal phases fixed."""
+    dim = require_int("dim", dim, 1)
     return _haar_from_gaussian(_complex_gaussian(rng, (dim, dim)))
 
 
@@ -423,16 +399,15 @@ def _wishart(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
 def random_state(kind: str, m: int, n: int, rank: int | None = None, seed: int = 0):
     """Seeded sampler: kind 'pure_haar' gives a PureState, 'density_wishart'
     a PSD unit-trace BipartiteOperator of the requested rank."""
-    _require_seed(seed)
-    _require_dims(m, n)
+    seed = require_int("seed", seed, 0)
+    m, n = _require_dims(m, n)
     d = m * n
     rng = np.random.default_rng(seed)
     if kind == "pure_haar":
         return PureState.from_vector(haar_vector(d, rng), m, n)
     if kind == "density_wishart":
-        if rank is None:
-            rank = d
-        if not 1 <= rank <= d:
+        rank = d if rank is None else require_int("rank", rank, 1)
+        if rank > d:
             raise BadRankError(f"rank {rank} outside 1..{d}")
         return BipartiteOperator(m, n, _wishart(rng, d, rank))
     raise BadParamError(f"unknown sampling kind {kind!r}")

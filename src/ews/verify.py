@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import numbers
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -26,6 +25,7 @@ from .linalg import (
     eig_hermitian,
     inner_product_lower_bound,
     pt_mat,
+    require_int,
 )
 from .states import canonical_state, max_entangled, pure_from_schmidt
 from .witness import (
@@ -579,10 +579,9 @@ def run_suite(
 ) -> SuiteReport:
     """Execute a registered suite; failing checks are recorded, never raised.
 
-    samples=None selects the suite's default count; otherwise it must be
-    at least 1.  m and n must both be at least 2; ndew_constructions and
-    mirror_conditions run fixed states and accept only (3, 3), the size
-    their reports are keyed by.
+    samples=None selects the suite's default count.  ndew_constructions
+    and mirror_conditions run fixed states and accept only (3, 3), the
+    size their reports are keyed by.
     Two suites run parts at a fixed size: dew_attainability uses m and n
     only for its transposed Bell projector, and absolute_ppt checks its
     pairing bound at 3x3 whatever the size.
@@ -591,25 +590,21 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; registered: {', '.join(SUITE_NAMES)}"
         )
-    if samples is not None and not (
-        isinstance(samples, numbers.Integral) and samples >= 1
-    ):
-        raise BadParamError(f"samples must be an integer of at least 1, got {samples}")
-    states._require_dims(m, n)
     suite, default, size = _SUITES[name]
+    samples = default if samples is None else require_int("samples", samples, 1)
+    m, n = states._require_dims(m, n)
     if size is not None and (m, n) != size:
         raise BadParamError(
             f"{name} runs at its default size {size} only, got ({m}, {n})"
         )
-    states._require_seed(seed)
-    samples = default if samples is None else samples
+    seed = require_int("seed", seed, 0)
     start = time.perf_counter()
     checks = suite(m, n, samples, seed)
     return SuiteReport(
         suite=name,
         m=m,
         n=n,
-        samples=int(samples),
+        samples=samples,
         seed=seed,
         checks=checks,
         wall_time=time.perf_counter() - start,

@@ -38,6 +38,7 @@ from .linalg import (
     fro_norm,
     kron,
     pt_mat,
+    require_int,
 )
 from .states import PureState, max_entangled, pure_from_schmidt
 
@@ -100,7 +101,7 @@ class FamilyParams:
                 raise BadParamError(f"weight {name}={w} outside [0, 1]")
         if abs(self.a + self.b + self.c + self.d - 1.0) > 1e-12:
             raise BadParamError("weights must sum to 1")
-        states._require_dims(self.m, self.n)
+        self.m, self.n = states._require_dims(self.m, self.n)
         if self.m > self.n:
             raise BadParamError(f"dims ({self.m}, {self.n}) need 2 <= m <= n")
 
@@ -163,16 +164,16 @@ def sample_dew(
     m: int, n: int, x: float, rank_p: int = 0, rank_q: int = 0, seed: int = 0
 ) -> Witness:
     """Seeded random decomposable witness x P + (1-x) PT(Q) with unit-trace
-    Wishart factors.  x = 1 is rejected: without the transposed component
-    the sample could never acquire a negative eigenvalue."""
+    Wishart factors (rank 0 is full rank).  x = 1 is rejected: without the
+    transposed component the sample could never acquire a negative eigenvalue."""
     if not 0.0 <= x < 1.0:
         raise BadParamError(f"x={x} outside [0, 1)")
-    states._require_dims(m, n)
-    states._require_seed(seed)
+    m, n = states._require_dims(m, n)
+    seed = require_int("seed", seed, 0)
     d = m * n
-    rank_p = rank_p or d
-    rank_q = rank_q or d
-    if not (1 <= rank_p <= d and 1 <= rank_q <= d):
+    rank_p = require_int("rank_p", rank_p, 0) or d
+    rank_q = require_int("rank_q", rank_q, 0) or d
+    if max(rank_p, rank_q) > d:
         raise BadRankError(f"ranks ({rank_p}, {rank_q}) outside 1..{d}")
     rng = np.random.default_rng(seed)
     p_mat = states._wishart(rng, d, rank_p)
@@ -574,7 +575,7 @@ def detect_npt(
     """
     m, n = rho.m, rho.n
     _require_detectable(m, n)
-    states._require_seed(seed)
+    restarts, seed = blockpos._require_search(restarts, seed)
     pt_rho = pt_mat(rho.mat, m, n)
     eig = eig_hermitian(pt_rho)
     if linalg.spectrum_is_psd(eig.values, pt_rho):

@@ -163,7 +163,7 @@ def test_fewer_than_one_restart_rejected(search, restarts):
 
 @pytest.mark.parametrize("search", [product_expectation_min, product_expectation_max])
 def test_negative_seed_rejected(search):
-    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+    with pytest.raises(BadParamError, match="seed must be an integer of at least 0, got -1"):
         search(_NOT_PSD, seed=-1)
 
 
@@ -503,3 +503,10 @@ class TestZeroPattern:
     def test_transposed_bell_witness_clean(self, m, n):
         w = witness.pure_pt_witness(max_entangled(m, n))
         assert zero_pattern_check(w.op) == []
+
+
+def test_product_vector_in_subspace_takes_a_single_vector_as_a_basis():
+    v = np.kron([0.6, 0.8], [1.0, 0.0, 0.0]).astype(complex)
+    a, b = product_vector_in_subspace(v, 2, 3, restarts=4, seed=1)
+    assert abs(abs(np.vdot(v, np.kron(a, b))) - 1.0) < 1e-9
+    assert np.array_equal(a, product_vector_in_subspace(v[None, :], 2, 3, 4, 1)[0])

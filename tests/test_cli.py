@@ -435,7 +435,7 @@ def test_seesaw_commands_reject_fewer_than_one_restart(tmp_path, capsys, restart
     ):
         code, out, err = run([*argv, "--restarts", restarts], capsys)
         assert (code, out) == (2, ""), argv
-        assert "restarts must be at least 1" in err, argv
+        assert f"restarts must be an integer of at least 1, got {restarts}" in err, argv
 
 
 @pytest.mark.parametrize("restarts", ["1", "2", "3"])
@@ -459,7 +459,7 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     ):
         code, out, err = run([*argv, "--seed", "-1"], capsys)
         assert (code, out) == (2, ""), argv
-        assert "seed must be non-negative, got -1" in err, argv
+        assert "seed must be an integer of at least 0, got -1" in err, argv
 
 
 def test_out_receives_the_stdout_bytes(tmp_path, capsysbinary):
@@ -501,7 +501,7 @@ def test_trivial_factor_report_exits_2(tmp_path, capsys):
     path = _write_matrix(tmp_path / "w21.json", 2, 1, [1.5, -0.5])
     code, out, err = run(["report", "--input", path], capsys)
     assert code == 2
-    assert out == "" and "must both be >= 2" in err
+    assert out == "" and "n must be an integer of at least 2, got 1" in err
 
 
 def test_negative_family_sizes_exit_2(capsys):
@@ -537,7 +537,7 @@ def test_state_non_finite_sizes_exit_2_naming_the_key(name, param, capsys):
     code, out, err = run(["state", "--name", name, "--param", param], capsys)
     key = param.split("=")[0]
     assert (code, out) == (2, "")
-    assert f"{key}=" in err and "is not an integer" in err
+    assert f"{key} must be an integer of at least " in err
 
 
 @pytest.mark.parametrize("option", ["--z", "--delta"])
@@ -568,13 +568,14 @@ def test_state_integer_valued_float_sizes_are_accepted(capsys):
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (0, 3)])
 @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
 def test_every_suite_rejects_trivial_factors(suite, m, n, capsys):
-    with pytest.raises(BadParamError, match="local dimensions"):
+    message = f"m must be an integer of at least 2, got {m}"
+    with pytest.raises(BadParamError, match=message):
         verify.run_suite(suite, m=m, n=n, samples=3, seed=1)
     code, out, err = run(
         ["verify", "--suite", suite, "--m", str(m), "--n", str(n), "--samples", "3"],
         capsys,
     )
-    assert code == 2 and out == "" and "local dimensions" in err
+    assert code == 2 and out == "" and message in err
 
 
 @pytest.mark.parametrize("value", ["false", "False", "FALSE", "0"])
@@ -595,3 +596,27 @@ def test_mirror_outlasting_the_seesaw_cap_exits_0(capsys):
         ["mirror", "--input", fixture, "--restarts", "4", "--seed", "217065368"], capsys
     )
     assert code == 0 and json.loads(out)["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("option", [["--restarts", "0"], ["--restarts", "-3"],
+                                    ["--seed", "-1"]])
+def test_blockpos_verdict_checks_its_search_before_the_psd_path(tmp_path, capsys, option):
+    # gamma is PSD, so the verdict would answer yes-psd without a search
+    gamma = str(tmp_path / "gamma.json")
+    run(["state", "--name", "gamma", "--out", gamma], capsys)
+    code, out, err = run(["blockpos", "--mode", "verdict", "--input", gamma, *option],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert f"{option[0][2:]} must be an integer of at least " in err
+
+
+def test_state_rejects_a_boolean_size(capsys):
+    code, out, err = run(["state", "--name", "zeta1", "--param", "l=true"], capsys)
+    assert (code, out) == (2, "")
+    assert "l must be an integer of at least 1, got True" in err
+
+
+def test_param_without_an_equals_sign_exits_2(capsys):
+    code, out, err = run(["state", "--name", "zeta1", "--param", "l"], capsys)
+    assert (code, out) == (2, "")
+    assert "--param expects key=value, got 'l'" in err

@@ -441,3 +441,26 @@ def test_psd_rule_scales_its_cut_with_the_norm():
     big[3, 3] = -1e-9
     assert negative_cut(big) == -NEG_EIG_TOL * fro_norm(big)
     assert is_psd(big) and negativity(big) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 3, 2)])
+def test_require_hermitian_rejects_non_square_input(shape):
+    with pytest.raises(NotHermitianError, match="expected a square matrix"):
+        linalg.require_hermitian(np.zeros(shape))
+
+
+def test_majorizes_needs_equal_totals():
+    assert majorizes([0.5, 0.5], [0.5, 0.5])
+    assert not majorizes([0.6, 0.5], [0.5, 0.5])
+    assert not majorizes([1.0, 0.0], [0.5, 0.4])
+
+
+def test_tolerance_scale_floors_the_frobenius_norm_at_one():
+    assert linalg.tolerance_scale(np.eye(4) / 4) == 1.0
+    assert linalg.tolerance_scale(3.0 * np.eye(4)) == 6.0
+    assert negative_cut(3.0 * np.eye(4)) == -NEG_EIG_TOL * 6.0
+
+
+def test_svd_failure_raises_a_typed_error():
+    with pytest.raises(NoConvergenceError, match="svd failed"):
+        linalg.svd(np.full((2, 2), np.nan))

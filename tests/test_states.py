@@ -332,7 +332,7 @@ def test_stacked_haar_rule_matches_haar_unitary(m, n):
 
 @pytest.mark.parametrize("kind", ["pure_haar", "density_wishart"])
 def test_random_state_rejects_a_negative_seed(kind):
-    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+    with pytest.raises(BadParamError, match="seed must be an integer of at least 0, got -1"):
         random_state(kind, 2, 2, seed=-1)
 
 
@@ -421,7 +421,9 @@ def test_canonical_state_normalized_accepts_bools_and_0_1():
     ],
 )
 def test_canonical_state_rejects_non_finite_and_non_numeric_sizes(name, key, value):
-    with pytest.raises(BadParamError, match=f"^{key}={value} is not an integer$"):
+    low = 1 if key == "l" else 2
+    message = f"^{key} must be an integer of at least {low}, got {value}$"
+    with pytest.raises(BadParamError, match=message):
         canonical_state(name, **{key: value})
 
 
@@ -438,3 +440,31 @@ def test_from_vector_rejects_a_nan_vector_before_the_svd():
     vec[2] = np.nan
     with pytest.raises(BadParamError, match="NaN entries"):
         PureState.from_vector(vec, 2, 2)
+
+
+def test_pure_state_rejects_a_rank_above_the_smaller_factor():
+    with pytest.raises(RankTooLargeError):
+        PureState(2, 3, [0.6, 0.6, np.sqrt(0.28)], np.eye(3)[:, :2], np.eye(3))
+
+
+def test_from_vector_rejects_a_vector_off_the_unit_sphere():
+    with pytest.raises(NormViolationError, match="vector norm 2.0 != 1"):
+        PureState.from_vector(np.array([2.0, 0.0, 0.0, 0.0]), 2, 2)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.0], [1.0, -0.1]])
+def test_pure_from_schmidt_rejects_non_positive_coefficients(coeffs):
+    with pytest.raises(BadSpectrumError, match="must be positive"):
+        pure_from_schmidt(coeffs, 2, 2)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.5, float("nan")])
+def test_rho_a_rejects_a_outside_the_open_unit_interval(a):
+    with pytest.raises(BadParamError, match="outside \\(0, 1\\)"):
+        canonical_state("rho_a", a=a)
+
+
+def test_random_state_defaults_to_full_rank():
+    op = random_state("density_wishart", 2, 3, seed=4)
+    assert np.array_equal(op.mat, random_state("density_wishart", 2, 3, rank=6, seed=4).mat)
+    assert int((eig_hermitian(op.mat).values > 1e-10).sum()) == 6

@@ -308,7 +308,7 @@ def test_stacked_orbit_floors_match_the_per_sample_loop(m, n, samples, seed):
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+    with pytest.raises(BadParamError, match="seed must be an integer of at least 0, got -1"):
         run_suite("absolute_ppt", m=2, n=2, samples=3, seed=-1)
 
 
@@ -329,13 +329,24 @@ def test_programming_errors_in_a_suite_propagate(monkeypatch):
         run_suite("ndew_constructions", m=3, n=3, seed=1)
 
 
+# The explicit ids keep each case's name stable when the message wording
+# changes; they state the rule the case breaks, not the expected text.
 @pytest.mark.parametrize("param, message", [
     ({"samples": 2.5}, "samples must be an integer of at least 1, got 2.5"),
-    ({"m": 2.5}, r"local dimensions \(2.5, 2\) must be integers"),
-    ({"n": float("nan")}, r"local dimensions \(2, nan\) must be integers"),
-    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    pytest.param({"m": 2.5}, "m must be an integer of at least 2, got 2.5",
+                 id=r"param1-local dimensions \(2.5, 2\) must be integers"),
+    pytest.param({"n": float("nan")}, "n must be an integer of at least 2, got nan",
+                 id=r"param2-local dimensions \(2, nan\) must be integers"),
+    pytest.param({"seed": 1.5}, "seed must be an integer of at least 0, got 1.5",
+                 id="param3-seed must be an integer, got 1.5"),
 ])
 def test_non_integer_sizes_samples_and_seeds_rejected(param, message):
     kwargs = {"m": 2, "n": 2, "samples": 3, "seed": 1, **param}
     with pytest.raises(BadParamError, match=message):
         run_suite("dew_bounds", **kwargs)
+
+
+def test_emit_report_rejects_an_unknown_format():
+    report = run_suite("tail_sum_bounds", m=2, n=2, samples=3, seed=1)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_report(report, fmt="xml")

@@ -6,6 +6,8 @@ import pytest
 from ews import blockpos, linalg, verify, witness
 from ews.errors import (
     BadParamError,
+    BadRankError,
+    BoostDenominatorError,
     EpsilonVanishesError,
     FullRankError,
     IsPPTError,
@@ -708,7 +710,7 @@ def test_ndew_params_take_no_boost_weight():
 
 
 def test_sample_dew_rejects_a_negative_seed():
-    with pytest.raises(BadParamError, match="seed must be non-negative, got -1"):
+    with pytest.raises(BadParamError, match="seed must be an integer of at least 0, got -1"):
         sample_dew(2, 2, x=0.3, seed=-1)
 
 
@@ -732,5 +734,28 @@ def test_seesaw_callers_reject_fewer_than_one_restart(restarts):
     ids=["sample_dew", "random_state", "max_entangled", "pure_from_schmidt", "w_family"],
 )
 def test_non_integral_sizes_fail_at_the_boundary(call):
-    with pytest.raises(BadParamError, match=r"local dimensions \(2.5, [23]\) must be integers"):
+    with pytest.raises(BadParamError, match="m must be an integer of at least 2, got 2.5"):
         call()
+
+
+@pytest.mark.parametrize("ranks", [(5, 0), (0, 5), (5, 5)])
+def test_sample_dew_rejects_a_rank_above_the_dimension(ranks):
+    with pytest.raises(BadRankError, match="outside 1..4"):
+        sample_dew(2, 2, 0.3, *ranks)
+
+
+def test_ndew_rejects_a_shift_too_small_to_detect():
+    # delta = 1e-12 leaves tr(W sigma) = -delta / norm above -DETECT_TOL
+    with pytest.raises(EpsilonVanishesError, match="detection expectation"):
+        ndew_from_edge(canonical_state("rho_b", b=0.9), NdewParams(delta=1e-12))
+
+
+def test_detect_npt_refuses_a_state_too_close_to_ppt_to_certify():
+    # lambda_min of the partial transpose is -1.05e-10: NPT by the
+    # NEG_EIG_TOL rule, yet the certified expectation lands near
+    # lambda_min / 2, above -DETECT_TOL
+    bell = pure_from_schmidt([2**-0.5] * 2, 3, 3).projector().mat
+    q = (-1.05e-10 + 0.5) / (1.0 / 9.0 + 0.5)
+    rho = BipartiteOperator(3, 3, (1.0 - q) * bell + q * np.eye(9) / 9.0)
+    with pytest.raises(BoostDenominatorError, match="pipeline produced"):
+        detect_npt(rho)

@@ -16,7 +16,7 @@ Prints the entries whose digests differ, with their outcomes when those
 differ too, and exits 1 if any digest differs, 0 if none does, and 2 if
 the revision or a tree cannot be run.
 
-The grid has 436 entries.  286 suite entries cover all eight suites:
+The grid has 440 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -30,7 +30,7 @@ The grid has 436 entries.  286 suite entries cover all eight suites:
 Suites sharing a key run back to back, so a tree that reuses work across
 suites is compared on both its cold and its reused path.
 
-30 CLI entries follow the suites, at the CLI's default seed and restarts
+33 CLI entries follow the suites, at the CLI's default seed and restarts
 unless named: ``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at
 b = 0.9; ``blockpos`` in modes ``verdict``, ``min`` and ``max`` and
 ``mirror`` on each ``ndew`` output; ``ndew`` on the tiles state with one
@@ -38,15 +38,17 @@ product vector dropped, (I - P4)/5, whose margin vanishes; ``detect`` on
 the qubit Bell state embedded at (3,3) and (2,4), on the qutrit Bell
 state (whose transposed bottom eigenvector has Schmidt rank 2) and on a
 seeded 3x3 Wishart state that takes the ``gamma2`` base; ``report`` on
-each ``detect`` output; and ``blockpos --mode verdict``, ``mirror`` and
-``ndew`` at ``--restarts`` 0 and -3.  A command that fails writes no
+each ``detect`` output; ``blockpos --mode verdict``, ``mirror`` and
+``ndew`` at ``--restarts`` 0 and -3; and ``blockpos --mode verdict`` on
+the PSD ``gamma`` state itself at ``--restarts`` 0 and -3 and at
+``--seed -1``, which fail before its PSD path.  A command that fails writes no
 output, so its digest covers empty bytes and its exit code; an uncaught
 exception stands in for the exit code by its type name.
 
-56 more CLI entries cover the named states, the mirror rule and the size
+57 more CLI entries cover the named states, the mirror rule and the size
 checks: ``state`` for every canonical name at its defaults (12); ``state``
 with each parameter varied, a key the state does not take, and the sizes
-m=2.5 n=3.9, l=1.5, m=3.0, m=1e309, l=1e309 and m=nan (31); ``family``
+m=2.5 n=3.9, l=1.5, m=3.0, m=1e309, l=1e309, m=nan and l=true (32); ``family``
 twice at 2x2 (one of them the transposed Bell projector) and once at 3x3
 (3); ``mirror`` on that
 transposed Bell projector, whose mirror is PSD, and on its negation, whose
@@ -111,6 +113,7 @@ def grid():
 
 NDEW_INPUTS = (("gamma", {}), ("gamma_prime", {}), ("rho_b", {"b": 0.9}))
 BAD_RESTARTS = ("0", "-3")
+BAD_SEARCH = (("--restarts", "0"), ("--restarts", "-3"), ("--seed", "-1"))
 FEW_RESTARTS = ("1", "2", "3")  # below blockpos.AGREE_MIN
 # (name, --param values) of the state entries beyond the defaults
 STATE_PARAMS = (
@@ -127,6 +130,7 @@ STATE_PARAMS = (
     ("zeta2", ("m=2.5", "n=3.9")), ("zeta1", ("l=1.5",)),
     ("rho1", ("m=3.0",)), ("zeta1", ("m=3.0", "l=2.0")),
     ("zeta2", ("m=1e309",)), ("zeta1", ("l=1e309",)), ("zeta2", ("m=nan",)),
+    ("zeta1", ("l=true",)),
 )
 NDEW_NON_FINITE = (
     ("--z", "nan"), ("--z", "inf"), ("--delta", "nan"), ("--delta", "inf"),
@@ -199,6 +203,9 @@ def cli_digests() -> dict:
                          ["ndew", "--input", sigma]):
                 run(f"{argv[0]} --restarts {restarts} gamma",
                     [*argv, "--restarts", restarts])
+        for option in BAD_SEARCH:
+            run(f"blockpos {' '.join(option)} gamma state",
+                ["blockpos", "--mode", "verdict", "--input", sigma, *option])
         for restarts in FEW_RESTARTS:
             run(f"ndew --restarts {restarts} gamma",
                 ["ndew", "--input", sigma, "--restarts", restarts])
