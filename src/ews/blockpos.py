@@ -36,7 +36,10 @@ EVIDENCE = ("restarts_tried", "restarts_converged", "restarts_agreeing")
 class OptResult:
     """Best product-vector expectation found plus restart statistics;
     restarts_agreeing counts the converged restarts within AGREE_TOL *
-    tolerance_scale(W) of the best value, W the operator searched."""
+    tolerance_scale(W) of the best value, W the operator searched.  A
+    min search stopped at its `below` threshold holds the first product
+    vector found under it, the restarts converged before the stop, 0
+    agreeing restarts and the restart-iterations it ran."""
 
     value: float
     vec_a: np.ndarray = field(repr=False)
@@ -55,6 +58,12 @@ class OptResult:
 
 @dataclass
 class BlockPositivityVerdict:
+    """The answer of `is_block_positive` and the counts of its search.  A
+    `no` carries the first product vector found below the cut, as
+    (vec_a, vec_b, value) in `counterexample` and its value in `value`,
+    not the minimum; its search stopped there, so it has 0 agreeing
+    restarts."""
+
     status: str  # yes-psd | yes-heuristic | no | inconclusive
     counterexample: tuple | None
     restarts_tried: int
@@ -92,10 +101,18 @@ def _extreme_eigvec(h: np.ndarray, mode: str):
     return eig.values[:, 0], eig.vectors[:, :, 0]
 
 
-def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptResult:
+def _seesaw(
+    op: BipartiteOperator, restarts: int, seed: int, mode: str,
+    below: float | None = None,
+) -> OptResult:
     """All restarts step together; a restart leaves the live set once its
     value moves by less than SEESAW_VALUE_TOL.  Fewer than one restart is
     a search that never runs and raises BadParamError.
+
+    With `below` set, the search returns in the first round in which a
+    live value that has passed the monotone check lies under it, with the
+    restart holding the round's lowest value (the first in restart order
+    on a tie); see `OptResult` for the counts of such a result.
 
     The live restarts' vectors and values are carried from one iteration
     to the next; a restart's vectors and value are written into the
@@ -147,6 +164,18 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
                 f"see-saw {mode} value moved the wrong way: "
                 f"{float(prev[i])!r} -> {float(val[i])!r}"
             )
+        if below is not None:
+            i = val.argmin()
+            if val[i] < below:
+                return OptResult(
+                    value=float(val[i]),
+                    vec_a=a_live[i],
+                    vec_b=b_live[i],
+                    restarts_tried=restarts,
+                    restarts_converged=int(converged.sum()),
+                    restarts_agreeing=0,
+                    iterations=total_iters,
+                )
         done = np.abs(delta) < SEESAW_VALUE_TOL
         if done.any():
             idx = live[done]
@@ -180,15 +209,26 @@ def _seesaw(op: BipartiteOperator, restarts: int, seed: int, mode: str) -> OptRe
 
 
 def product_expectation_min(
-    op: BipartiteOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0
+    op: BipartiteOperator,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+    *,
+    below: float | None = None,
 ) -> OptResult:
     """Heuristic minimum of <a,b|W|a,b> over unit product vectors.
 
     Each restart alternates exact minimizations over the two factors
     (the value sequence is non-increasing) until the objective moves by
     less than SEESAW_VALUE_TOL.
+
+    A caller that asks only whether some product vector goes under a
+    threshold passes it as `below`: the search then stops at the first
+    product vector whose value lies under it and returns that vector and
+    its value, with `restarts_agreeing` 0, since a value found below the
+    threshold is its own proof and no minimum was established.  A search
+    that never goes under `below` returns what it would without it.
     """
-    return _seesaw(op, restarts, seed, "min")
+    return _seesaw(op, restarts, seed, "min", below=below)
 
 
 def product_expectation_max(
@@ -204,24 +244,27 @@ def is_block_positive(
     """Three-way block-positivity check.
 
     Fast certified paths: W or W^PT positive semidefinite gives yes-psd.
-    Otherwise the see-saw minimum decides, with scale = tolerance_scale(W): a
-    value below -1e-9 * scale is a counterexample (no); a value of at least
-    -1e-12 * scale that enough restarts back (`OptResult.restarts_agreeing`,
-    judged by `OptResult.backed`) is yes-heuristic, which is evidence rather
-    than proof; everything else is inconclusive.  Restarts and seed are
-    checked first, so a bad one raises BadParamError even for yes-psd.
+    Otherwise the see-saw decides, with scale = tolerance_scale(W).  It
+    stops at the first product vector whose value lies below -1e-9 * scale,
+    converged or not, and that vector is a counterexample (no).  A search
+    that finds none gives its minimum: a value of at least -1e-12 * scale
+    that enough restarts back (`OptResult.restarts_agreeing`, judged by
+    `OptResult.backed`) is yes-heuristic, which is evidence rather than
+    proof; everything else is inconclusive.  Restarts and seed are checked
+    first, so a bad one raises BadParamError even for yes-psd.
     """
     restarts, seed = _require_search(restarts, seed)
     if is_psd(op.mat) or is_psd(pt_mat(op.mat, op.m, op.n)):
         return BlockPositivityVerdict("yes-psd", None, 0, 0, 0, 0)
+    scale = tolerance_scale(op.mat)
+    cut = -1e-9 * scale
     try:
-        opt = product_expectation_min(op, restarts=restarts, seed=seed)
+        opt = product_expectation_min(op, restarts=restarts, seed=seed, below=cut)
     except NoConvergedRestartError:
         return BlockPositivityVerdict(
             "inconclusive", None, restarts, 0, restarts * SEESAW_ITER_CEILING, 0
         )
-    scale = tolerance_scale(op.mat)
-    if opt.value < -1e-9 * scale:
+    if opt.value < cut:
         status = "no"
     elif opt.value >= -1e-12 * scale and opt.backed:
         status = "yes-heuristic"
@@ -240,8 +283,9 @@ def product_vector_in_subspace(
     """Search a subspace (orthonormal rows spanning V in C^m (x) C^n) for a
     product vector by minimizing the residual <a,b|(I - P_V)|a,b>.
 
-    Returns (vec_a, vec_b) when the residual drops below 1e-10, else None
-    (heuristic absence).  Unlike a minimum, a product vector found needs no
+    Returns (vec_a, vec_b) of the first product vector whose residual
+    drops below 1e-10, where the search stops, else None (heuristic
+    absence).  Unlike a minimum, a product vector found needs no
     `OptResult.restarts_agreeing` evidence: it is its own proof.  A basis of
     the wrong length or with rows that are not orthonormal raises BadParamError.
     """
@@ -257,7 +301,7 @@ def product_vector_in_subspace(
         raise BadParamError("basis rows are not orthonormal")
     proj = basis.T @ basis.conj()
     comp = BipartiteOperator(m, n, np.eye(d, dtype=complex) - proj)
-    opt = product_expectation_min(comp, restarts=restarts, seed=seed)
+    opt = product_expectation_min(comp, restarts=restarts, seed=seed, below=1e-10)
     if opt.value < 1e-10:
         return opt.vec_a, opt.vec_b
     return None

@@ -384,8 +384,12 @@ def ndew_from_edge(
     tr(W sigma) < 0, which certifies both entanglement of sigma and
     nondecomposability of W.  epsilon is a see-saw multistart minimum,
     trusted only when its `OptResult.restarts_agreeing` back it (unconverged
-    restarts count neither way); delta is capped at half of it.
+    restarts count neither way); delta is capped at half of it.  The search
+    stops at the first product value below EPSILON_FLOOR, converged or not,
+    and raises EpsilonVanishesError.  Restarts and seed are checked
+    first, before the PPT test.
     """
+    restarts, seed = blockpos._require_search(restarts, seed)
     params = params or NdewParams()
     m, n = sigma.m, sigma.n
     d = m * n
@@ -399,7 +403,9 @@ def ndew_from_edge(
     candidate = BipartiteOperator(
         m, n, params.z * proj_p + pt_mat(proj_q, m, n)
     )
-    opt = blockpos.product_expectation_min(candidate, restarts=restarts, seed=seed)
+    opt = blockpos.product_expectation_min(
+        candidate, restarts=restarts, seed=seed, below=EPSILON_FLOOR
+    )
     eps = opt.value
     if eps <= EPSILON_FLOOR:
         raise EpsilonVanishesError(
@@ -418,7 +424,7 @@ def ndew_from_edge(
     expectation = float(np.trace(op.mat @ sigma.mat).real)
     if expectation >= -DETECT_TOL:
         raise EpsilonVanishesError(
-            f"detection expectation {expectation:.3e} not negative"
+            f"detection expectation {expectation:.3e} does not clear -DETECT_TOL"
         )
     return Witness(
         op=op,
@@ -619,7 +625,8 @@ def detect_npt(
     expectation = float(np.trace(w_final.mat @ rho.mat).real)
     if expectation >= -DETECT_TOL:
         raise BoostDenominatorError(
-            f"pipeline produced non-negative expectation {expectation:.3e}"
+            f"pipeline produced expectation {expectation:.3e}, which does not "
+            "clear -DETECT_TOL"
         )
     trail = {"lambda_min_pt": lam_min, "schmidt_rank": d, "base": kind, "t": t}
     witness = Witness(

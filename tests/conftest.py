@@ -17,8 +17,8 @@ def searches(monkeypatch):
     found = []
     search = blockpos._seesaw
 
-    def recording(*args):
-        found.append(search(*args))
+    def recording(*args, **kwargs):
+        found.append(search(*args, **kwargs))
         return found[-1]
 
     monkeypatch.setattr(blockpos, "_seesaw", recording)

@@ -12,9 +12,27 @@ from ews.blockpos import (
     product_vector_in_subspace,
     zero_pattern_check,
 )
-from ews.errors import BadParamError, NoConvergedRestartError, NoConvergenceError
-from ews.linalg import BipartiteOperator, eig_hermitian, kron, pt_mat
-from ews.states import haar_vector, max_entangled, pure_from_schmidt, tiles_upb_state
+from ews.errors import (
+    BadParamError,
+    EpsilonVanishesError,
+    NoConvergedRestartError,
+    NoConvergenceError,
+)
+from ews.linalg import (
+    BipartiteOperator,
+    eig_hermitian,
+    is_psd,
+    kron,
+    pt_mat,
+    tolerance_scale,
+)
+from ews.states import (
+    haar_vector,
+    max_entangled,
+    pure_from_schmidt,
+    tiles_upb_state,
+    tiles_upb_vectors,
+)
 
 RNG = np.random.default_rng(321)
 
@@ -403,6 +421,147 @@ class TestEvidenceRule:
         monkeypatch.setattr(blockpos, "SEESAW_ITER_CEILING", 2)
         with pytest.raises(NoConvergedRestartError, match="within 2 iterations"):
             product_expectation_min(op, restarts=8, seed=0)
+
+
+def _rank_one(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def _undecided_operators(count):
+    """`count` seeded operators at 2x2, 2x3 and 3x3, neither PSD nor PPT,
+    so a verdict needs the see-saw: random Hermitian ones, nearly all not
+    block positive, alternate with decomposable witnesses P + Q^PT shifted
+    by up to 0.05 either way, which sit on both sides of the cut."""
+    rng = np.random.default_rng(2024)
+    ops = []
+    while len(ops) < count:
+        m, n = ((2, 2), (2, 3), (3, 3))[len(ops) % 3]
+        d = m * n
+        if len(ops) % 2 == 0:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mat = (g + g.conj().T) / 2.0
+        else:
+            mat = (_rank_one(rng, d) + pt_mat(_rank_one(rng, d), m, n)
+                   - rng.uniform(-0.05, 0.05) * np.eye(d))
+        if not (is_psd(mat) or is_psd(pt_mat(mat, m, n))):
+            ops.append(BipartiteOperator(m, n, mat))
+    return ops
+
+
+def _status_of_full_search(op, restarts, seed):
+    """The verdict rule applied to the minimum of a search run to the end:
+    (status, search), the search None when no restart converged."""
+    try:
+        opt = product_expectation_min(op, restarts=restarts, seed=seed)
+    except NoConvergedRestartError:
+        return "inconclusive", None
+    scale = tolerance_scale(op.mat)
+    if opt.value < -1e-9 * scale:
+        return "no", opt
+    if opt.value >= -1e-12 * scale and opt.backed:
+        return "yes-heuristic", opt
+    return "inconclusive", opt
+
+
+class TestStopBelow:
+    """A min search given `below` stops at the first product vector under
+    it; a search that never goes under runs as it would without it."""
+
+    @pytest.mark.parametrize("restarts", [4, 16])
+    def test_verdicts_match_the_rule_on_a_full_search(self, restarts):
+        statuses = set()
+        for seed, op in enumerate(_undecided_operators(210)):
+            verdict = is_block_positive(op, restarts=restarts, seed=seed)
+            status, full = _status_of_full_search(op, restarts, seed)
+            assert verdict.status == status
+            statuses.add(status)
+            assert verdict.iterations <= full.iterations
+            if status != "no":
+                assert verdict.value == full.value
+                assert blockpos.evidence(verdict) == blockpos.evidence(full)
+                continue
+            # the refuting vector is its own proof
+            a, b, value = verdict.counterexample
+            scale = tolerance_scale(op.mat)
+            assert value == verdict.value
+            assert abs(product_expectation(op, a, b) - value) <= 1e-12 * scale
+            assert value < -1e-9 * scale
+            assert verdict.restarts_agreeing == 0
+            assert verdict.restarts_tried == restarts
+            assert verdict.restarts_converged <= full.restarts_converged
+        assert statuses == {"no", "yes-heuristic"}
+
+    def test_a_search_that_never_goes_below_is_unchanged(self):
+        op = generalized_choi(2.0, 0.0, 1.0)
+        full = product_expectation_min(op, restarts=16, seed=0)
+        opt = product_expectation_min(op, restarts=16, seed=0, below=-1e-9)
+        assert (opt.value, blockpos.evidence(opt), opt.iterations) == (
+            full.value, blockpos.evidence(full), full.iterations
+        )
+        assert opt.vec_a.tobytes() == full.vec_a.tobytes()
+        assert opt.vec_b.tobytes() == full.vec_b.tobytes()
+
+    def test_the_stop_returns_the_lowest_value_of_its_round(self):
+        op = BipartiteOperator(2, 2, -np.eye(4, dtype=complex))
+        opt = product_expectation_min(op, restarts=8, seed=0, below=0.0)
+        # every restart reads -1 in the first round; the first one is kept
+        assert abs(opt.value + 1.0) < 1e-12
+        assert (opt.iterations, opt.restarts_converged, opt.restarts_agreeing) == (8, 0, 0)
+        first = product_expectation_min(op, restarts=1, seed=0, below=0.0)
+        assert opt.vec_a.tobytes() == first.vec_a.tobytes()
+
+        # below = inf stops after the first round, at its lowest value
+        op = random_bipartite(3, 3, rng=np.random.default_rng(5))
+        opt = product_expectation_min(op, restarts=8, seed=2, below=np.inf)
+        w4 = op.mat.reshape(3, 3, 3, 3)
+        values = []
+        for r in range(8):
+            a = haar_vector(3, np.random.default_rng([2, r]))
+            b = np.linalg.eigh(np.einsum("i,ijkl,k->jl", a.conj(), w4, a))[1][:, 0]
+            values.append(np.linalg.eigvalsh(np.einsum("j,ijkl,l->ik", b.conj(), w4, b))[0])
+        assert opt.iterations == 8
+        assert abs(opt.value - min(values)) < 1e-12
+        assert abs(product_expectation(op, opt.vec_a, opt.vec_b) - opt.value) < 1e-12
+
+    def test_a_refuting_restart_counts_before_the_cap(self, monkeypatch):
+        # no restart converges in one round, so a search that waits for
+        # convergence answers inconclusive; the first round is already -0.2
+        op = BipartiteOperator(2, 2, np.diag([1.0, 1.0, 1.0, -0.2]).astype(complex))
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CAP", 1)
+        monkeypatch.setattr(blockpos, "SEESAW_ITER_CEILING", 1)
+        assert _status_of_full_search(op, 16, 16)[0] == "inconclusive"
+        verdict = is_block_positive(op, restarts=16, seed=16)
+        assert verdict.status == "no"
+        assert abs(verdict.value + 0.2) < 1e-12
+        assert (verdict.restarts_converged, verdict.iterations) == (0, 16)
+        a, b, value = verdict.counterexample
+        assert abs(product_expectation(op, a, b) - value) < 1e-12
+
+    def test_subspace_search_returns_a_vector_inside_it(self, searches):
+        basis = np.zeros((2, 6), dtype=complex)
+        basis[0, 0] = basis[1, 4] = 1.0  # |00> and |11> at 2x3
+        a, b = product_vector_in_subspace(basis, 2, 3, restarts=16, seed=3)
+        v = kron(a, b)
+        residual = np.vdot(v, v).real - np.linalg.norm(basis.conj() @ v) ** 2
+        assert residual < 1e-10
+        (opt,) = searches
+        assert opt.value < 1e-10 and opt.restarts_agreeing == 0
+
+    def test_vanishing_margin_stops_the_search(self, searches):
+        proj = sum(np.outer(v, v.conj()) for v in tiles_upb_vectors()[:4])
+        sigma = BipartiteOperator(3, 3, (np.eye(9) - proj) / 5.0)
+        with pytest.raises(EpsilonVanishesError, match="margin"):
+            witness.ndew_from_edge(sigma, restarts=32, seed=11)
+        (opt,) = searches
+        assert opt.value < witness.EPSILON_FLOOR and opt.restarts_agreeing == 0
+        # the candidate z P + PT(Q) of the default z = 1, built as ndew_from_edge does
+        kernel_p, _ = witness._kernel_projector(sigma.mat)
+        kernel_q, _ = witness._kernel_projector(pt_mat(sigma.mat, 3, 3))
+        candidate = BipartiteOperator(3, 3, kernel_p + pt_mat(kernel_q, 3, 3))
+        full = product_expectation_min(candidate, restarts=32, seed=11)
+        assert full.value < witness.EPSILON_FLOOR
+        assert opt.iterations < full.iterations
 
 
 class TestProductVectorInSubspace:

@@ -425,6 +425,11 @@ class TestNdewFromEdge:
         with pytest.raises(NotPPTError):
             ndew_from_edge(max_entangled(3, 3).projector(), restarts=8, seed=0)
 
+    @pytest.mark.parametrize("search", [{"restarts": 0}, {"seed": -1}])
+    def test_restarts_and_seed_checked_before_the_ppt_test(self, search):
+        with pytest.raises(BadParamError, match="must be an integer of at least"):
+            ndew_from_edge(max_entangled(3, 3).projector(), **search)
+
     @pytest.mark.parametrize("restarts", [1, 2, 3])
     def test_fewer_than_agree_min_restarts_never_certify(self, restarts):
         # every restart may agree, yet fewer than AGREE_MIN of them back

@@ -16,7 +16,7 @@ Prints the entries whose digests differ, with their outcomes when those
 differ too, and exits 1 if any digest differs, 0 if none does, and 2 if
 the revision or a tree cannot be run.
 
-The grid has 440 entries.  286 suite entries cover all eight suites:
+The grid has 444 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -30,11 +30,14 @@ The grid has 440 entries.  286 suite entries cover all eight suites:
 Suites sharing a key run back to back, so a tree that reuses work across
 suites is compared on both its cold and its reused path.
 
-33 CLI entries follow the suites, at the CLI's default seed and restarts
+37 CLI entries follow the suites, at the CLI's default seed and restarts
 unless named: ``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at
 b = 0.9; ``blockpos`` in modes ``verdict``, ``min`` and ``max`` and
 ``mirror`` on each ``ndew`` output; ``ndew`` on the tiles state with one
-product vector dropped, (I - P4)/5, whose margin vanishes; ``detect`` on
+product vector dropped, (I - P4)/5, whose margin vanishes;
+``blockpos --mode verdict`` at the default and at 4 restarts on -SWAP at
+2x2 and on diag(1, ..., 1, -0.2) at 3x3, which are not block positive and
+so reach a ``no``; ``detect`` on
 the qubit Bell state embedded at (3,3) and (2,4), on the qutrit Bell
 state (whose transposed bottom eigenvector has Schmidt rank 2) and on a
 seeded 3x3 Wishart state that takes the ``gamma2`` base; ``report`` on
@@ -215,6 +218,17 @@ def cli_digests() -> dict:
             sigma4, linalg.BipartiteOperator(3, 3, (np.eye(9) - p4) / 5.0)
         )
         run("ndew tiles4", ["ndew", "--input", sigma4])
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        for name, op in (
+            ("-swap 2x2", linalg.BipartiteOperator(2, 2, -swap)),
+            ("diag(1..1,-0.2) 3x3",
+             linalg.BipartiteOperator(3, 3, np.diag([1.0] * 8 + [-0.2]))),
+        ):
+            refuted = os.path.join(tmp, f"refuted{op.m}x{op.n}.json")
+            linalg.write_operator(refuted, op)
+            for extra in ([], ["--restarts", "4"]):
+                run(" ".join(["blockpos --mode verdict", name, *extra]),
+                    ["blockpos", "--mode", "verdict", "--input", refuted, *extra])
         detect_inputs = (
             ("bell3x3", states.pure_from_schmidt([2**-0.5] * 2, 3, 3).projector()),
             ("bell2x4", states.pure_from_schmidt([2**-0.5] * 2, 2, 4).projector()),
