@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParamError, NoConvergedRestartError, NoConvergenceError
 from .linalg import BipartiteOperator, eig_hermitian, is_psd, pt_mat
-from .linalg import require_int, tolerance_scale
+from .linalg import require_int, require_orthonormal_rows, tolerance_scale
 from .states import haar_vector
 
 SEESAW_ITER_CAP = 500
@@ -287,18 +287,18 @@ def product_vector_in_subspace(
     drops below 1e-10, where the search stops, else None (heuristic
     absence).  Unlike a minimum, a product vector found needs no
     `OptResult.restarts_agreeing` evidence: it is its own proof.  A basis of
-    the wrong length or with rows that are not orthonormal raises BadParamError.
+    the wrong length or with rows that are not orthonormal
+    (`linalg.require_orthonormal_rows`, which NaN rows fail) raises
+    BadParamError.
     """
     m, n = require_int("m", m, 1), require_int("n", n, 1)
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
         basis = basis[None, :]
-    k, d = basis.shape
+    _, d = basis.shape
     if m * n != d:
         raise BadParamError(f"basis lives in dimension {d} != {m}*{n}")
-    gram = basis.conj() @ basis.T
-    if np.abs(gram - np.eye(k)).max() > 1e-10:
-        raise BadParamError("basis rows are not orthonormal")
+    require_orthonormal_rows(basis, "basis rows")
     proj = basis.T @ basis.conj()
     comp = BipartiteOperator(m, n, np.eye(d, dtype=complex) - proj)
     opt = product_expectation_min(comp, restarts=restarts, seed=seed, below=1e-10)

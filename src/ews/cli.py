@@ -9,6 +9,8 @@ error.  All randomness flows from --seed (default 42, never wall clock).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -59,6 +61,9 @@ def _cmd_family(args):
 
 # The report's scalar fields, in output order.
 _REPORT_SCALARS = ("lambda1", "lambda_min", "negativity", "fro_sq", "neg_count")
+# The CSV report's columns: a scalar row fills the first two, a bound row
+# every one (`witness.ReportBound`).
+_CSV_FIELDS = ("name", "measured", "lower", "upper", "passed", "attained")
 
 
 def _report_payload(rep) -> dict:
@@ -74,15 +79,13 @@ def _report_payload(rep) -> dict:
 
 
 def _report_csv(rep) -> str:
-    lines = ["name,measured,lower,upper,passed,attained"]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
     for name in _REPORT_SCALARS:
-        lines.append(f"{name},{float(getattr(rep, name))!r},,,,")
-    for b in rep.bounds:
-        lines.append(
-            f"{b.name},{b.measured!r},{'' if b.lower is None else repr(b.lower)},"
-            f"{'' if b.upper is None else repr(b.upper)},{b.passed},{b.attained}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow({"name": name, "measured": float(getattr(rep, name))})
+    writer.writerows(asdict(b) for b in rep.bounds)
+    return buf.getvalue()
 
 
 def _cmd_report(args):

@@ -8,6 +8,7 @@ as row i*n + j (0-based).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -57,6 +58,65 @@ def require_int(name: str, value, low: int) -> int:
     if not whole or value < low:
         raise BadParamError(f"{name} must be an integer of at least {low}, got {value}")
     return int(value)
+
+
+@functools.cache
+def _interval(spec: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low_open, high_open) of an interval written like "[0, 1)"."""
+    low, high = (float(end) for end in spec[1:-1].split(","))
+    return low, high, spec[0] == "(", spec[-1] == ")"
+
+
+def require_real(name: str, value, interval: str) -> float:
+    """`value`, an int, a float or a numpy integer or floating scalar, as a
+    float inside `interval`, which is written in bracket notation such as
+    "[0, 1)" or "(0, inf)".  A bool, a string, None, a complex number, an
+    array, NaN, an infinity or a value outside the interval raises
+    BadParamError naming `name`."""
+    low, high, low_open, high_open = _interval(interval)
+    x = math.nan
+    if not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    # negated, so that NaN fails it
+    if not (
+        math.isfinite(x)
+        and (low < x if low_open else low <= x)
+        and (x < high if high_open else x <= high)
+    ):
+        raise BadParamError(f"{name} must be a real number in {interval}, got {value}")
+    return x
+
+
+def require_real_vector(name: str, value, finite: bool = True) -> np.ndarray:
+    """`value`, a 1-D array of ints or floats, as a float array.  Bool,
+    complex, string and object entries, and with `finite` a NaN or
+    infinite entry, raise BadParamError naming `name`.  finite=False
+    leaves non-finite entries to the caller's own rule."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if (
+        arr.ndim != 1
+        or arr.dtype.kind not in "iuf"
+        or (finite and not np.isfinite(arr).all())
+    ):
+        kind = "finite real numbers" if finite else "real numbers"
+        raise BadParamError(f"{name} must be a 1-D array of {kind}")
+    return arr.astype(float, copy=False)
+
+
+def require_orthonormal_rows(rows: np.ndarray, what: str) -> None:
+    """Raise BadParamError naming `what` unless the rows of `rows` are
+    orthonormal within 1e-10 entrywise; NaN entries fail too."""
+    gram = rows.conj() @ rows.T
+    if not np.abs(gram - np.eye(len(rows))).max() <= 1e-10:
+        raise BadParamError(f"{what} are not orthonormal")
 
 
 def require_hermitian(h: np.ndarray) -> np.ndarray:
@@ -232,13 +292,21 @@ def negativity(h: np.ndarray) -> float:
     return float(-vals[vals < negative_cut(h)].sum())
 
 
+def _same_length(name_a: str, a, name_b: str, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two real vectors of one length (require_real_vector), or
+    LengthMismatchError."""
+    a, b = require_real_vector(name_a, a), require_real_vector(name_b, b)
+    if a.shape != b.shape:
+        raise LengthMismatchError(f"shapes {a.shape} and {b.shape} differ")
+    return a, b
+
+
 def majorizes(y: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff the sorted partial sums of x stay below those of y and the
-    totals agree within `tol`."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise LengthMismatchError(f"shapes {y.shape} and {x.shape} differ")
+    totals agree within `tol`, a real number in [0, inf).  y and x are
+    1-D arrays of finite real numbers of one length."""
+    y, x = _same_length("y", y, "x", x)
+    tol = require_real("tol", tol, "[0, inf)")
     ys = np.sort(y)[::-1]
     xs = np.sort(x)[::-1]
     cy = np.cumsum(ys)
@@ -250,11 +318,9 @@ def majorizes(y: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
 
 def inner_product_lower_bound(spec_a: np.ndarray, spec_b: np.ndarray) -> float:
     """Pairing bound sum_i a_i^down * b_(n-i+1)^down; tr(AB) >= this value
-    for any Hermitian A, B carrying these spectra."""
-    a = np.asarray(spec_a, dtype=float)
-    b = np.asarray(spec_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatchError(f"shapes {a.shape} and {b.shape} differ")
+    for any Hermitian A, B carrying these spectra, 1-D arrays of finite
+    real numbers of one length."""
+    a, b = _same_length("spec_a", spec_a, "spec_b", spec_b)
     return float(np.sort(a)[::-1] @ np.sort(b))
 
 

@@ -23,7 +23,13 @@ from .errors import (
 )
 # eig_hermitian stays bound here: perfbench/tracer.py requires a binding of it
 # in every library module it traces.
-from .linalg import BipartiteOperator, eig_hermitian, pt_mat, require_int  # noqa: F401
+from .linalg import (  # noqa: F401
+    BipartiteOperator,
+    eig_hermitian,
+    pt_mat,
+    require_int,
+    require_real,
+)
 
 # Singular values above this threshold count toward the Schmidt rank.
 SCHMIDT_RANK_TOL = 1e-8
@@ -59,9 +65,7 @@ class PureState:
         for basis, dim in ((self.basis_a, self.m), (self.basis_b, self.n)):
             if basis.shape != (d, dim):
                 raise BadParamError(f"basis shape {basis.shape} != ({d}, {dim})")
-            gram = basis.conj() @ basis.T
-            if not np.abs(gram - np.eye(d)).max() <= 1e-10:
-                raise BadParamError("local basis vectors are not orthonormal")
+            linalg.require_orthonormal_rows(basis, "local basis vectors")
 
     @property
     def rank(self) -> int:
@@ -104,11 +108,14 @@ class PureState:
 def pure_from_schmidt(coeffs, m: int, n: int) -> PureState:
     """Pure state with given Schmidt coefficients on the canonical bases.
 
+    coeffs is a 1-D array of real numbers (linalg.require_real_vector).
     Accepts square sums within 1e-6 of one (printed reference values are
-    rounded to about six digits) and renormalizes exactly.
+    rounded to about six digits) and renormalizes exactly.  A non-finite
+    coefficient fails the sign or the square-sum rule, with their errors.
     """
     m, n = _require_dims(m, n)
-    coeffs = np.asarray(coeffs, dtype=float)
+    # an infinity fails the rules below, and NaN PureState's square sum
+    coeffs = linalg.require_real_vector("coeffs", coeffs, finite=False)
     if np.any(coeffs <= 0):
         raise BadSpectrumError("Schmidt coefficients must be positive")
     d = len(coeffs)
@@ -215,9 +222,9 @@ def _gamma_variant(u: np.ndarray) -> BipartiteOperator:
 
 
 def rho_b_state(b: float) -> BipartiteOperator:
-    """Rank-five 2x4 bound entangled edge state, parametrized by b in (0,1)."""
-    if not 0.0 < b < 1.0:
-        raise BadParamError(f"b={b} outside (0, 1)")
+    """Rank-five 2x4 bound entangled edge state, parametrized by a real
+    number b in (0, 1)."""
+    b = require_real("b", b, "(0, 1)")
     r = np.zeros((8, 8))
     for i in range(4):
         r[i, i] = b
@@ -231,9 +238,9 @@ def rho_b_state(b: float) -> BipartiteOperator:
 
 
 def rho_a_state(a: float) -> BipartiteOperator:
-    """Rank-seven two-qutrit bound entangled edge state, a in (0,1)."""
-    if not 0.0 < a < 1.0:
-        raise BadParamError(f"a={a} outside (0, 1)")
+    """Rank-seven two-qutrit bound entangled edge state, parametrized by a
+    real number a in (0, 1)."""
+    a = require_real("a", a, "(0, 1)")
     r = np.zeros((9, 9))
     for i in range(9):
         r[i, i] = a
@@ -283,8 +290,8 @@ _STATES = {
     "rho2": lambda m=3, n=None, normalized=True: _diag_state(
         [2.0] * 3, *_dims(m, n), normalized
     ),
-    "rho_b": lambda b=0.9: rho_b_state(float(b)),
-    "rho_a": lambda a=0.9: rho_a_state(float(a)),
+    "rho_b": lambda b=0.9: rho_b_state(b),
+    "rho_a": lambda a=0.9: rho_a_state(a),
     "gamma": lambda: BipartiteOperator(3, 3, _gamma_base()),
     "gamma_prime": lambda: _gamma_variant(_SIGN3),
     "gamma1": lambda: _gamma_variant(_SHIFT3),
@@ -304,8 +311,8 @@ def canonical_state(name: str, **params) -> BipartiteOperator:
     rho1(m, n)         diag(sqrt2+1, sqrt2+1, 1, ...); absolutely PPT.
     rho2(m, n)         diag(2, 2, 2, 1, ...); absolutely PPT.
                        Both accept normalized=False for the raw diagonal.
-    rho_b(b)           2x4 bound entangled edge state.
-    rho_a(a)           3x3 bound entangled edge state.
+    rho_b(b=0.9)       2x4 bound entangled edge state, b in (0, 1).
+    rho_a(a=0.9)       3x3 bound entangled edge state, a in (0, 1).
     gamma              two-qutrit PPT entangled state with trace one.
     gamma_prime        sign/flip conjugated partial transpose of gamma;
                        orthogonal to the transposed qutrit Bell projector.
@@ -314,8 +321,9 @@ def canonical_state(name: str, **params) -> BipartiteOperator:
     tiles_upb          normalized complement of the tiles product basis.
     max_ball_center(m, n)  maximally mixed state.
 
-    n defaults to m; m, n and l must be integer values.  A key the named
-    state does not take raises BadParamError.
+    n defaults to m; m, n and l must be integer values (linalg.require_int),
+    a and b real numbers (linalg.require_real).  A key the named state does
+    not take raises BadParamError.
     """
     if name not in _STATES:
         raise BadParamError(f"unknown canonical state {name!r}")
@@ -341,9 +349,13 @@ def is_in_maximal_ball(rho: BipartiteOperator) -> bool:
 
 def as_2xn_test(spectrum) -> bool:
     """Absolute separability test for 2 x n spectra:
-    lam_1 <= lam_{2n-1} + 2 sqrt(lam_{2n-2} lam_{2n})."""
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.ndim != 1 or len(lam) < 4 or len(lam) % 2 != 0:
+    lam_1 <= lam_{2n-1} + 2 sqrt(lam_{2n-2} lam_{2n}).
+
+    spectrum is a 1-D array of finite real numbers
+    (linalg.require_real_vector) of even length at least 4, non-negative
+    and summing to 1."""
+    lam = linalg.require_real_vector("spectrum", spectrum)
+    if len(lam) < 4 or len(lam) % 2 != 0:
         raise BadSpectrumError(f"need an even length >= 4, got {lam.shape}")
     if np.any(lam < -1e-12):
         raise BadSpectrumError("spectrum has negative entries")

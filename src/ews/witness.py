@@ -39,6 +39,7 @@ from .linalg import (
     kron,
     pt_mat,
     require_int,
+    require_real,
 )
 from .states import PureState, max_entangled, pure_from_schmidt
 
@@ -86,7 +87,9 @@ class Witness:
 
 @dataclass
 class FamilyParams:
-    """Convex weights for the four-term block-positive family."""
+    """Convex weights for the four-term block-positive family: a, b, c and
+    d are real numbers in [0, 1] (linalg.require_real), stored as floats,
+    that sum to 1 within 1e-12."""
 
     a: float
     b: float
@@ -96,9 +99,9 @@ class FamilyParams:
     n: int = 2
 
     def __post_init__(self):
-        for name, w in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            if not 0.0 <= w <= 1.0:
-                raise BadParamError(f"weight {name}={w} outside [0, 1]")
+        self.a, self.b, self.c, self.d = (
+            require_real(name, getattr(self, name), "[0, 1]") for name in "abcd"
+        )
         if abs(self.a + self.b + self.c + self.d - 1.0) > 1e-12:
             raise BadParamError("weights must sum to 1")
         self.m, self.n = states._require_dims(self.m, self.n)
@@ -164,10 +167,10 @@ def sample_dew(
     m: int, n: int, x: float, rank_p: int = 0, rank_q: int = 0, seed: int = 0
 ) -> Witness:
     """Seeded random decomposable witness x P + (1-x) PT(Q) with unit-trace
-    Wishart factors (rank 0 is full rank).  x = 1 is rejected: without the
-    transposed component the sample could never acquire a negative eigenvalue."""
-    if not 0.0 <= x < 1.0:
-        raise BadParamError(f"x={x} outside [0, 1)")
+    Wishart factors (rank 0 is full rank).  x is a real number in [0, 1)
+    (linalg.require_real): at x = 1 the sample would lack the transposed
+    component and could never acquire a negative eigenvalue."""
+    x = require_real("x", x, "[0, 1)")
     m, n = states._require_dims(m, n)
     seed = require_int("seed", seed, 0)
     d = m * n
@@ -353,13 +356,15 @@ def mirror(
 
 @dataclass
 class NdewParams:
+    """Kernel weight z and identity shift delta of `ndew_from_edge`, real
+    numbers in (0, inf) (linalg.require_real), stored as floats."""
+
     z: float = 1.0
     delta: float = 1e-3
 
     def __post_init__(self):
-        for name, value in (("z", self.z), ("delta", self.delta)):
-            if not 0.0 < value < math.inf:
-                raise BadParamError(f"{name}={value} must be positive and finite")
+        self.z = require_real("z", self.z, "(0, inf)")
+        self.delta = require_real("delta", self.delta, "(0, inf)")
 
 
 def _kernel_projector(mat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -444,7 +449,8 @@ def ndew_from_edge(
 def boost_witness(w: Witness, psi: PureState, t: float = 1.0) -> Witness:
     """Mix a certified witness with the transposed projector of a pure state
     orthogonal (under the partial transpose pairing) to the stored detected
-    state: W' = (t PT(|psi><psi|) + W) / (1 + t), for a weight t >= 0.
+    state: W' = (t PT(|psi><psi|) + W) / (1 + t), for a weight t, a real
+    number in [0, inf) (linalg.require_real) checked after the witness.
 
     Detection of the stored state survives with expectation scaled by
     1/(1+t), while large t drags the spectrum toward that of the
@@ -452,8 +458,7 @@ def boost_witness(w: Witness, psi: PureState, t: float = 1.0) -> Witness:
     state."""
     if w.class_tag != TAG_NDEW or w.detected_state is None:
         raise BadParamError("boost requires a certified witness with a stored state")
-    if not 0.0 <= t < math.inf:
-        raise BadParamError(f"t={t} must be non-negative and finite")
+    t = require_real("t", t, "[0, inf)")
     return _boost(w, _pt_projector(psi), t)
 
 

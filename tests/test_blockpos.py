@@ -589,6 +589,15 @@ class TestProductVectorInSubspace:
         with pytest.raises(BadParamError):
             product_vector_in_subspace(basis, 2, 2)
 
+    def test_nan_rows_fail_the_orthonormality_check(self, monkeypatch):
+        basis = np.eye(4, dtype=complex)[:2]
+        basis[1, 1] = np.nan
+        monkeypatch.setattr(
+            blockpos, "BipartiteOperator", lambda *a: pytest.fail("projector built")
+        )
+        with pytest.raises(BadParamError, match="^basis rows are not orthonormal$"):
+            product_vector_in_subspace(basis, 2, 2)
+
     def test_tiles_range_is_completely_entangled(self):
         sigma = tiles_upb_state()
         eig = eig_hermitian(sigma.mat)

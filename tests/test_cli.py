@@ -554,7 +554,8 @@ def test_ndew_non_finite_params_exit_2_before_the_search(
     )
     code, out, err = run(["ndew", "--input", rho_b, option, value], capsys)
     assert (code, out) == (2, "")
-    assert f"{option[2:]}={value} must be positive and finite" in err
+    name = option[2:]
+    assert err == f"ews: error: {name} must be a real number in (0, inf), got {value}\n"
     assert searches == []
 
 

@@ -460,7 +460,8 @@ def test_pure_from_schmidt_rejects_non_positive_coefficients(coeffs):
 
 @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, float("nan")])
 def test_rho_a_rejects_a_outside_the_open_unit_interval(a):
-    with pytest.raises(BadParamError, match="outside \\(0, 1\\)"):
+    message = rf"^a must be a real number in \(0, 1\), got {a}$"
+    with pytest.raises(BadParamError, match=message):
         canonical_state("rho_a", a=a)
 
 

@@ -497,7 +497,9 @@ class TestBoost:
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
     def test_weight_must_be_non_negative_and_finite(self, gamma_witness, t):
-        with pytest.raises(BadParamError, match=f"t={t} must be non-negative"):
+        with pytest.raises(
+            BadParamError, match=rf"^t must be a real number in \[0, inf\), got {t}$"
+        ):
             boost_witness(gamma_witness, max_entangled(3, 3), t=t)
 
 
@@ -705,7 +707,8 @@ def test_family_params_reject_bad_sizes(m, n):
 @pytest.mark.parametrize("key", ["z", "delta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
 def test_ndew_params_must_be_positive_and_finite(key, value):
-    with pytest.raises(BadParamError, match=f"^{key}={value} must be positive"):
+    message = rf"^{key} must be a real number in \(0, inf\), got {value}$"
+    with pytest.raises(BadParamError, match=message):
         NdewParams(**{key: value})
 
 
@@ -764,3 +767,16 @@ def test_detect_npt_refuses_a_state_too_close_to_ppt_to_certify():
     rho = BipartiteOperator(3, 3, (1.0 - q) * bell + q * np.eye(9) / 9.0)
     with pytest.raises(BoostDenominatorError, match="pipeline produced"):
         detect_npt(rho)
+
+
+@pytest.mark.parametrize("eps", [linalg.NEG_EIG_TOL / 2, linalg.NEG_EIG_TOL])
+def test_psd_slack_stays_above_the_detection_cut(eps):
+    # The PSD rule accepts a unit-trace W (scale 1) with an eigenvalue
+    # down to -NEG_EIG_TOL, and no state meets W below its lowest
+    # eigenvalue; with NEG_EIG_TOL < DETECT_TOL such a W detects nothing.
+    a = (1.0 + eps) / 3.0
+    w = np.diag([a, a, a, -eps]).astype(complex)
+    assert np.trace(w).real == pytest.approx(1.0, abs=1e-15)
+    assert linalg.tolerance_scale(w) == 1.0 and linalg.is_psd(w)
+    e11 = np.eye(4)[3]  # |1>|1>, the eigenvector of -eps
+    assert float(np.trace(w @ np.outer(e11, e11)).real) > -witness.DETECT_TOL

@@ -16,7 +16,7 @@ Prints the entries whose digests differ, with their outcomes when those
 differ too, and exits 1 if any digest differs, 0 if none does, and 2 if
 the revision or a tree cannot be run.
 
-The grid has 444 entries.  286 suite entries cover all eight suites:
+The grid has 453 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -30,7 +30,7 @@ The grid has 444 entries.  286 suite entries cover all eight suites:
 Suites sharing a key run back to back, so a tree that reuses work across
 suites is compared on both its cold and its reused path.
 
-37 CLI entries follow the suites, at the CLI's default seed and restarts
+42 CLI entries follow the suites, at the CLI's default seed and restarts
 unless named: ``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at
 b = 0.9; ``blockpos`` in modes ``verdict``, ``min`` and ``max`` and
 ``mirror`` on each ``ndew`` output; ``ndew`` on the tiles state with one
@@ -40,20 +40,22 @@ product vector dropped, (I - P4)/5, whose margin vanishes;
 so reach a ``no``; ``detect`` on
 the qubit Bell state embedded at (3,3) and (2,4), on the qutrit Bell
 state (whose transposed bottom eigenvector has Schmidt rank 2) and on a
-seeded 3x3 Wishart state that takes the ``gamma2`` base; ``report`` on
-each ``detect`` output; ``blockpos --mode verdict``, ``mirror`` and
+seeded 3x3 Wishart state that takes the ``gamma2`` base; ``report`` in
+JSON and in CSV on each ``detect`` output, and in CSV on the PSD
+``gamma`` state, which has no bound rows; ``blockpos --mode verdict``, ``mirror`` and
 ``ndew`` at ``--restarts`` 0 and -3; and ``blockpos --mode verdict`` on
 the PSD ``gamma`` state itself at ``--restarts`` 0 and -3 and at
 ``--seed -1``, which fail before its PSD path.  A command that fails writes no
 output, so its digest covers empty bytes and its exit code; an uncaught
 exception stands in for the exit code by its type name.
 
-57 more CLI entries cover the named states, the mirror rule and the size
+60 more CLI entries cover the named states, the mirror rule and the size
 checks: ``state`` for every canonical name at its defaults (12); ``state``
 with each parameter varied, a key the state does not take, and the sizes
-m=2.5 n=3.9, l=1.5, m=3.0, m=1e309, l=1e309, m=nan and l=true (32); ``family``
-twice at 2x2 (one of them the transposed Bell projector) and once at 3x3
-(3); ``mirror`` on that
+m=2.5 n=3.9, l=1.5, m=3.0, m=1e309, l=1e309, m=nan and l=true, and the
+reals b=true and b=x (34); ``family`` with a NaN weight, twice at 2x2 (one
+of them the transposed Bell projector) and once at 3x3 (4); ``mirror`` on
+that
 transposed Bell projector, whose mirror is PSD, and on its negation, whose
 trace is -1 (2); and ``verify`` of every suite at the trivial size (1,1)
 with 3 samples (8).
@@ -61,8 +63,8 @@ with 3 samples (8).
 2 CLI entries run ``verify --suite mirror_conditions`` at (2,2) and (4,5),
 sizes other than the (3,3) its fixed states run at.
 
-4 CLI entries run ``ndew`` on ``gamma`` with ``--z`` or ``--delta`` at
-``nan`` or ``inf``, which are rejected before the see-saw runs, and 3 run
+5 CLI entries run ``ndew`` on ``gamma`` with ``--z`` or ``--delta`` at
+``nan`` or ``inf``, or ``--delta`` at 0, which are rejected before the see-saw runs, and 3 run
 it at ``--restarts`` 1, 2 and 3, too few restarts to back a margin.
 
 54 more CLI entries run ``mirror`` at ``--restarts`` 1, 2 and 4 on the
@@ -133,16 +135,18 @@ STATE_PARAMS = (
     ("zeta2", ("m=2.5", "n=3.9")), ("zeta1", ("l=1.5",)),
     ("rho1", ("m=3.0",)), ("zeta1", ("m=3.0", "l=2.0")),
     ("zeta2", ("m=1e309",)), ("zeta1", ("l=1e309",)), ("zeta2", ("m=nan",)),
-    ("zeta1", ("l=true",)),
+    ("zeta1", ("l=true",)), ("rho_b", ("b=true",)), ("rho_b", ("b=x",)),
 )
-NDEW_NON_FINITE = (
+NDEW_BAD_PARAMS = (
     ("--z", "nan"), ("--z", "inf"), ("--delta", "nan"), ("--delta", "inf"),
+    ("--delta", "0"),
 )
 SLOW_MIRROR = os.path.join(ROOT, "tests", "stall_mirror_3x3.json")
 DEW_SIZES = ((2, 2), (2, 3), (3, 3))
 DEW_SEEDS = range(6)
 OFF_SIZE_MIRROR_SUITE = ((2, 2), (4, 5))
 FAMILY_ARGS = (
+    "--a nan --b 1 --c 0 --d 0".split(),
     "--a 0.25 --b 0.25 --c 0.25 --d 0.25 --m 2 --n 2".split(),
     "--a 0.2 --b 0.4 --c 0.2 --d 0.2 --m 3 --n 3".split(),
     "--a 0 --b 1 --c 0 --d 0".split(),
@@ -242,6 +246,10 @@ def cli_digests() -> dict:
             linalg.write_operator(rho, state)
             certificate = run(f"detect {name}", ["detect", "--input", rho])
             run(f"report detect {name}", ["report", "--input", certificate])
+            run(f"report --format csv detect {name}",
+                ["report", "--input", certificate, "--format", "csv"])
+        run("report --format csv gamma state",
+            ["report", "--input", ndew_files["gamma"][0], "--format", "csv"])
         for name in states.CANONICAL_NAMES:
             run(f"state {name}", ["state", "--name", name])
         for name, params in STATE_PARAMS:
@@ -261,7 +269,7 @@ def cli_digests() -> dict:
         for m, n in OFF_SIZE_MIRROR_SUITE:
             run(f"verify mirror_conditions ({m},{n})",
                 ["verify", "--suite", "mirror_conditions", "--m", str(m), "--n", str(n)])
-        for option, value in NDEW_NON_FINITE:
+        for option, value in NDEW_BAD_PARAMS:
             run(f"ndew {option} {value} gamma",
                 ["ndew", "--input", ndew_files["gamma"][0], option, value])
         for m, n in DEW_SIZES:
