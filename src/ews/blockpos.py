@@ -25,6 +25,11 @@ SEESAW_ITER_CAP = 500
 SEESAW_ITER_CEILING = 20 * SEESAW_ITER_CAP
 SEESAW_VALUE_TOL = 1e-12
 DEFAULT_RESTARTS = 64
+# Every EXTRAPOLATE_EVERY-th round a restart whose last two value steps
+# shrink by a ratio between 0 and EXTRAPOLATE_MAX_RATIO first jumps ahead
+# along its converging a-vector (see `_seesaw`).
+EXTRAPOLATE_EVERY = 3
+EXTRAPOLATE_MAX_RATIO = 0.95
 AGREE_TOL = 1e-6
 AGREE_MIN = 4
 # The restart counts behind every see-saw answer, in output order; the
@@ -101,6 +106,28 @@ def _extreme_eigvec(h: np.ndarray, mode: str):
     return eig.values[:, 0], eig.vectors[:, :, 0]
 
 
+def _extrapolate(a: np.ndarray, a_old: np.ndarray, s1: np.ndarray, s2: np.ndarray):
+    """Safeguarded Aitken jump of an (r, m) stack of a-vectors: (start
+    vectors, mask of the rows that jump), or (a, None) if none does.  A row
+    jumps when its value steps s1 (latest) and s2 shrink by a ratio
+    q = s1 / s2 in (0, EXTRAPOLATE_MAX_RATIO).  Value error shrinks at q
+    when vector error shrinks at rate = sqrt(q), so the row steps to the
+    limit of that geometric tail, a + (a - phase * a_old) * rate / (1 - rate),
+    normalised, with a_old's phase aligned to a."""
+    q = np.divide(s1, s2, out=np.zeros_like(s1), where=s2 != 0)
+    jump = (q > 0) & (q < EXTRAPOLATE_MAX_RATIO)
+    if not jump.any():
+        return a, None
+    # every row is stepped, and only the jumping ones are kept: fewer numpy
+    # calls than selecting them first; an orthogonal pair gets phase 0
+    rate = np.sqrt(np.where(jump, q, 0.0))[:, None]
+    overlap = np.sum(a_old.conj() * a, axis=1, keepdims=True)
+    phase = overlap / np.maximum(np.abs(overlap), np.finfo(float).tiny)
+    x = a + (a - phase * a_old) * (rate / (1.0 - rate))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return np.where(jump[:, None], x, a), jump
+
+
 def _seesaw(
     op: BipartiteOperator, restarts: int, seed: int, mode: str,
     below: float | None = None,
@@ -124,6 +151,13 @@ def _seesaw(
     the restarts converged in that round as its result.  Only when no
     restart converges within SEESAW_ITER_CEILING rounds does it raise
     NoConvergedRestartError.
+
+    Every EXTRAPOLATE_EVERY-th round, a live restart whose last two value
+    steps shrink geometrically starts its first half-step from the jump of
+    `_extrapolate` instead of its a-vector.  The jump is kept unless that
+    half-step's value moves the wrong way; such restarts redo the
+    half-step from their a-vectors, in one more stacked eigensolve that
+    counts no iteration.  A round that jumps converges no restart.
 
     Restart r starts from a Haar vector drawn from default_rng([seed, r]),
     so every (seed, restart) pair has its own start and two seeds never
@@ -149,12 +183,26 @@ def _seesaw(
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
     prev = np.full(restarts, sign * np.inf)
+    # each live restart's a-vector before its last round and its last two
+    # value steps, s1 the latest
+    a_old, s1, s2 = a_live, np.zeros(restarts), np.zeros(restarts)
     total_iters = 0
     for rounds in range(1, SEESAW_ITER_CEILING + 1):
         total_iters += live.size
-        _, b_live = _extreme_eigvec(_reduced(wa, a_live, n, m), mode)
+        start, jump = a_live, None
+        if rounds % EXTRAPOLATE_EVERY == 0:
+            start, jump = _extrapolate(a_live, a_old, s1, s2)
+        lam, b_live = _extreme_eigvec(_reduced(wa, start, n, m), mode)
+        if jump is not None:
+            back = jump & (sign * (lam - prev) > 0)
+            if back.any():
+                # the jump made things worse: those restarts redo the half-step
+                _, b_live[back] = _extreme_eigvec(_reduced(wa, a_live[back], n, m), mode)
+                jump &= ~back
+        a_old = a_live
         val, a_live = _extreme_eigvec(_reduced(wb, b_live, m, n), mode)
         delta = sign * (val - prev)
+        s1, s2 = delta, s1
         # each half-step is an exact local optimization, so the value
         # sequence must be monotone up to roundoff; NaN fails this too
         wrong = ~(delta <= 1e-9)
@@ -177,12 +225,15 @@ def _seesaw(
                     iterations=total_iters,
                 )
         done = np.abs(delta) < SEESAW_VALUE_TOL
+        if jump is not None:
+            done &= ~jump
         if done.any():
             idx = live[done]
             a[idx], b[idx], vals[idx] = a_live[done], b_live[done], val[done]
             converged[idx] = True
             keep = ~done
             live, a_live, val = live[keep], a_live[keep], val[keep]
+            a_old, s1, s2 = a_old[keep], s1[keep], s2[keep]
         if live.size == 0 or (rounds >= SEESAW_ITER_CAP and converged.any()):
             break
         prev = val

@@ -112,8 +112,11 @@ def require_real_vector(name: str, value, finite: bool = True) -> np.ndarray:
 
 
 def require_orthonormal_rows(rows: np.ndarray, what: str) -> None:
-    """Raise BadParamError naming `what` unless the rows of `rows` are
-    orthonormal within 1e-10 entrywise; NaN entries fail too."""
+    """Raise BadParamError naming `what` unless `rows` holds at least one
+    row and its rows are orthonormal within 1e-10 entrywise; NaN entries
+    fail too."""
+    if len(rows) == 0:
+        raise BadParamError(f"{what} are empty")
     gram = rows.conj() @ rows.T
     if not np.abs(gram - np.eye(len(rows))).max() <= 1e-10:
         raise BadParamError(f"{what} are not orthonormal")
@@ -293,9 +296,12 @@ def negativity(h: np.ndarray) -> float:
 
 
 def _same_length(name_a: str, a, name_b: str, b) -> tuple[np.ndarray, np.ndarray]:
-    """Two real vectors of one length (require_real_vector), or
-    LengthMismatchError."""
+    """Two non-empty real vectors of one length (require_real_vector), or
+    BadParamError naming an empty one, or LengthMismatchError."""
     a, b = require_real_vector(name_a, a), require_real_vector(name_b, b)
+    for name, vec in ((name_a, a), (name_b, b)):
+        if vec.size == 0:
+            raise BadParamError(f"{name} must not be empty")
     if a.shape != b.shape:
         raise LengthMismatchError(f"shapes {a.shape} and {b.shape} differ")
     return a, b
@@ -304,7 +310,7 @@ def _same_length(name_a: str, a, name_b: str, b) -> tuple[np.ndarray, np.ndarray
 def majorizes(y: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff the sorted partial sums of x stay below those of y and the
     totals agree within `tol`, a real number in [0, inf).  y and x are
-    1-D arrays of finite real numbers of one length."""
+    non-empty 1-D arrays of finite real numbers of one length."""
     y, x = _same_length("y", y, "x", x)
     tol = require_real("tol", tol, "[0, inf)")
     ys = np.sort(y)[::-1]
@@ -318,8 +324,8 @@ def majorizes(y: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
 
 def inner_product_lower_bound(spec_a: np.ndarray, spec_b: np.ndarray) -> float:
     """Pairing bound sum_i a_i^down * b_(n-i+1)^down; tr(AB) >= this value
-    for any Hermitian A, B carrying these spectra, 1-D arrays of finite
-    real numbers of one length."""
+    for any Hermitian A, B carrying these spectra, non-empty 1-D arrays of
+    finite real numbers of one length."""
     a, b = _same_length("spec_a", spec_a, "spec_b", spec_b)
     return float(np.sort(a)[::-1] @ np.sort(b))
 

@@ -40,7 +40,9 @@ class PureState:
     """Bipartite unit vector in Schmidt form.
 
     coeffs are positive and non-increasing with unit square sum; basis_a
-    and basis_b hold the d orthonormal local vectors as rows.
+    and basis_b hold the d orthonormal local vectors as rows.  coeffs is a
+    1-D array of real numbers (linalg.require_real_vector), so bool,
+    complex and string entries raise BadParamError.
     """
 
     m: int
@@ -51,7 +53,8 @@ class PureState:
 
     def __post_init__(self):
         self.m, self.n = require_int("m", self.m, 1), require_int("n", self.n, 1)
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        # a non-finite coefficient fails the square-sum rule below
+        self.coeffs = linalg.require_real_vector("coeffs", self.coeffs, finite=False)
         self.basis_a = np.asarray(self.basis_a, dtype=complex)
         self.basis_b = np.asarray(self.basis_b, dtype=complex)
         d = len(self.coeffs)

@@ -185,15 +185,22 @@ def test_negative_seed_rejected(search):
         search(_NOT_PSD, seed=-1)
 
 
-def loop_seesaw(op, restarts, seed, mode):
+def loop_seesaw(op, restarts, seed, mode, jumps=None):
     """Reference see-saw: one restart at a time, one 2-D eigensolve of the
-    raw reduced matrix per half-step.  Returns (best value, converged
-    values, iterations)."""
+    raw reduced matrix per half-step.  Every EXTRAPOLATE_EVERY-th round a
+    restart whose last two value steps shrink by a ratio q in (0,
+    EXTRAPOLATE_MAX_RATIO) starts its half-step from its a-vector pushed
+    along the last a-step by sqrt(q) / (1 - sqrt(q)), and keeps that start
+    unless the half-step's value is worse than the last; a round that
+    jumps converges no restart.  Returns (best value, converged values,
+    iterations) and appends True (kept) or False (rejected) to `jumps` for
+    each jump tried."""
     m, n = op.m, op.n
     w4 = op.mat.reshape(m, n, m, n)
     wa = w4.transpose(0, 1, 3, 2).reshape(m, n * n * m)
     wb = w4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
-    better = (lambda x, y: x < y) if mode == "min" else (lambda x, y: x > y)
+    sign = 1.0 if mode == "min" else -1.0
+    jumps = [] if jumps is None else jumps
 
     def extreme(h):
         vals, vecs = np.linalg.eigh(h)
@@ -202,15 +209,30 @@ def loop_seesaw(op, restarts, seed, mode):
 
     best, converged, iters = None, [], 0
     for r in range(restarts):
-        a = haar_vector(m, np.random.default_rng([seed, r]))
-        prev = np.inf if mode == "min" else -np.inf
-        for _ in range(blockpos.SEESAW_ITER_CAP):
+        a = a_old = haar_vector(m, np.random.default_rng([seed, r]))
+        prev = sign * np.inf
+        s1 = s2 = 0.0
+        for rounds in range(1, blockpos.SEESAW_ITER_CAP + 1):
             iters += 1
-            _, b = extreme((a.conj() @ wa).reshape(n, n, m) @ a)
+            q = s1 / s2 if s2 != 0 else 0.0
+            jumped = rounds % blockpos.EXTRAPOLATE_EVERY == 0 and (
+                0 < q < blockpos.EXTRAPOLATE_MAX_RATIO
+            )
+            if jumped:
+                t = np.sqrt(q) / (1.0 - np.sqrt(q))
+                x = a + (a - np.exp(1j * np.angle(np.vdot(a_old, a))) * a_old) * t
+                x /= np.linalg.norm(x)
+                lam, b = extreme((x.conj() @ wa).reshape(n, n, m) @ x)
+                jumped = sign * (lam - prev) <= 0
+                jumps.append(jumped)
+            if not jumped:
+                _, b = extreme((a.conj() @ wa).reshape(n, n, m) @ a)
+            a_old = a
             val, a = extreme((b.conj() @ wb).reshape(m, m, n) @ b)
-            if abs(val - prev) < blockpos.SEESAW_VALUE_TOL:
+            s1, s2 = sign * (val - prev), s1
+            if not jumped and abs(val - prev) < blockpos.SEESAW_VALUE_TOL:
                 converged.append(val)
-                if best is None or better(val, best):
+                if best is None or sign * (val - best) < 0:
                     best = val
                 break
             prev = val
@@ -222,15 +244,72 @@ def loop_seesaw(op, restarts, seed, mode):
 def test_batched_seesaw_matches_restart_loop(dims, mode):
     rng = np.random.default_rng([*dims, mode == "max"])
     fn = product_expectation_min if mode == "min" else product_expectation_max
+    jumps = []
     for seed in range(6):
         op = random_bipartite(*dims, rng=rng)
         got = fn(op, restarts=12, seed=seed)
-        value, converged, iters = loop_seesaw(op, 12, seed, mode)
+        value, converged, iters = loop_seesaw(op, 12, seed, mode, jumps)
         tol = blockpos.AGREE_TOL * max(1.0, np.linalg.norm(op.mat))
         assert abs(got.value - value) < 1e-10
         assert got.restarts_converged == len(converged)
         assert got.restarts_agreeing == sum(abs(v - value) <= tol for v in converged)
         assert got.iterations == iters
+    # every case keeps some jumps and rejects others
+    assert any(jumps) and not all(jumps)
+
+
+def test_a_rejected_jump_redoes_its_half_step_from_the_unjumped_vector(monkeypatch):
+    # one restart on which the reference loop keeps 4 jumps and rejects 1
+    op = random_bipartite(3, 3, rng=np.random.default_rng([3, 3, 5]))
+    jumps = []
+    value, _, iters = loop_seesaw(op, 1, 1, "max", jumps)
+    assert jumps.count(True) == 4 and jumps.count(False) == 1
+    calls = []
+    exact = blockpos._extreme_eigvec
+
+    def counted(h, mode):
+        calls.append(len(h))
+        return exact(h, mode)
+
+    monkeypatch.setattr(blockpos, "_extreme_eigvec", counted)
+    got = product_expectation_max(op, restarts=1, seed=1)
+    # two half-steps a round, and one redo for the rejected jump
+    assert (got.iterations, len(calls)) == (iters, 2 * iters + 1)
+    assert abs(got.value - value) < 1e-10
+    assert abs(product_expectation(op, got.vec_a, got.vec_b) - got.value) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
+def test_value_is_the_expectation_at_the_returned_vectors(dims, mode):
+    # a jump moves only the start of a half-step, so the value returned is
+    # still that of the vectors returned
+    rng = np.random.default_rng([*dims, mode == "max", 1])
+    fn = product_expectation_min if mode == "min" else product_expectation_max
+    for seed in range(4):
+        op = random_bipartite(*dims, rng=rng)
+        got = fn(op, restarts=8, seed=seed)
+        direct = product_expectation(op, got.vec_a, got.vec_b)
+        assert abs(direct - got.value) < 1e-12 * tolerance_scale(op.mat)
+
+
+def test_extrapolation_shortens_the_gamma_margin_search():
+    # the candidate z P + PT(Q) behind ndew_from_edge on gamma; without the
+    # jumps its 64-restart searches at seeds 0-9 ran 24,790 restart-iterations
+    sigma = witness._base_edge_state("gamma")
+    kernel_p, _ = witness._kernel_projector(sigma.mat)
+    kernel_q, _ = witness._kernel_projector(pt_mat(sigma.mat, 3, 3))
+    candidate = BipartiteOperator(3, 3, kernel_p + pt_mat(kernel_q, 3, 3))
+    total, agreeing = 0, []
+    for seed in range(10):
+        opt = product_expectation_min(
+            candidate, restarts=64, seed=seed, below=witness.EPSILON_FLOOR
+        )
+        assert abs(opt.value - 2.061148156e-3) < blockpos.AGREE_TOL
+        total += opt.iterations
+        agreeing.append(opt.restarts_agreeing)
+    assert total <= 14000
+    assert agreeing[:5] == [22, 24, 21, 25, 24]
 
 
 @pytest.mark.parametrize("restarts", [1, 4, 64])

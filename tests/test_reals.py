@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ews import cli
+from ews.blockpos import product_vector_in_subspace
 from ews.errors import (
     BadParamError,
     BadSpectrumError,
@@ -28,6 +29,7 @@ from ews.linalg import (
     require_real_vector,
 )
 from ews.states import (
+    PureState,
     as_2xn_test,
     canonical_state,
     max_entangled,
@@ -150,6 +152,9 @@ VECTOR_ROWS = [
     # a non-finite Schmidt coefficient fails the square-sum rule instead
     ("pure_from_schmidt", "coeffs", lambda v: pure_from_schmidt(v, 2, 2),
      [0.8, 0.6], [1], False),
+    # likewise; dyadic, so that its float32 copy still square-sums to 1
+    ("PureState", "coeffs", lambda v: PureState(2, 2, v, np.eye(2), np.eye(2)),
+     [1.0, 0.0], [0, 1], False),
 ]
 VECTOR_IDS = [f"{entry}-{param}" for entry, param, *_ in VECTOR_ROWS]
 
@@ -217,6 +222,23 @@ def test_structural_rules_keep_their_typed_errors():
             pure_from_schmidt(coeffs, 2, 2)
     with pytest.raises(BadParamError, match="weights must sum to 1"):
         FamilyParams(0.5, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: majorizes([], []), "^y must not be empty$"),
+        (lambda: majorizes([1.0], []), "^x must not be empty$"),
+        (lambda: inner_product_lower_bound([], []), "^spec_a must not be empty$"),
+        (lambda: inner_product_lower_bound([1.0], []), "^spec_b must not be empty$"),
+        (lambda: product_vector_in_subspace(np.zeros((0, 4)), 2, 2),
+         "^basis rows are empty$"),
+    ],
+    ids=["majorizes-y", "majorizes-x", "inner-spec_a", "inner-spec_b", "subspace"],
+)
+def test_empty_vectors_raise_naming_the_parameter(call, message):
+    with pytest.raises(BadParamError, match=message):
+        call()
 
 
 def test_require_real_vector_returns_a_float_array():

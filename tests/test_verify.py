@@ -323,6 +323,16 @@ def test_a_malformed_witness_in_a_suite_is_a_failed_check(monkeypatch):
     assert failed[0].note.startswith("TraceViolationError(")
 
 
+def test_a_failed_kernel_witness_is_a_failed_check(monkeypatch):
+    exc = NoConvergenceError("no margin")
+    monkeypatch.setattr(verify, "ndew_from_edge", _raise(exc))
+    report = run_suite("ndew_constructions", m=3, n=3, seed=1)
+    (check,) = [c for c in report.checks if c.claim_id == "gamma_detected"]
+    assert not check.passed and check.measured == 0.0
+    assert check.note == repr(exc)
+    assert not report.passed
+
+
 def test_programming_errors_in_a_suite_propagate(monkeypatch):
     monkeypatch.setattr(verify, "ndew_from_edge", _raise(TypeError("bug")))
     with pytest.raises(TypeError):

@@ -13,8 +13,10 @@ Each entry also has an outcome: for a suite, ``pass`` or ``fail:`` and the
 claim ids of its failed checks; for a CLI entry, its exit code and the
 ``class``, ``verdict``, ``status`` and ``passed`` fields of a JSON output.
 Prints the entries whose digests differ, with their outcomes when those
-differ too, and exits 1 if any digest differs, 0 if none does, and 2 if
-the revision or a tree cannot be run.
+differ too, then how many differ in each class, the entry name up to its
+first parameter (such as ``cli mirror``, ``npt_detection (3,3)`` or
+``mirror_conditions (3,3)``).  Exits 1 if any digest differs, 0 if none
+does, and 2 if the revision or a tree cannot be run.
 
 The grid has 453 entries.  286 suite entries cover all eight suites:
 
@@ -74,13 +76,17 @@ backs no maximum, so those answer ``inconclusive``; at 4 restarts a mirror
 is ``inconclusive`` where its restarts settle at different local maxima.
 
 The last CLI entry runs ``mirror --restarts 4 --seed 217065368`` on the 3x3
-witness in ``tests/stall_mirror_3x3.json``, where none of the four
-restarts converges within ``blockpos.SEESAW_ITER_CAP`` rounds.
+witness in ``tests/stall_mirror_3x3.json``, a local unitary rotation of
+the trace-normalised mu I - C for the generalised Choi witness
+C = Phi[2,0,1] and mu = 4/3 + 1e-3.  None of the four restarts converges
+within ``blockpos.SEESAW_ITER_CAP`` rounds, extrapolation jumps included,
+so the search steps on until one does and the mirror is ``inconclusive``.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -350,6 +356,9 @@ def main(argv=None) -> int:
         if old_outcome != new_outcome:
             moved += 1
             print(f"  outcome: {old_outcome} -> {new_outcome}")
+    classes = collections.Counter(" ".join(key.split()[:2]) for key in differ)
+    for name, count in sorted(classes.items()):
+        print(f"{count} differ: {name}")
     print(f"{len(ours) - len(differ)}/{len(ours)} digests identical to {args.rev}")
     print(f"{len(ours) - moved}/{len(ours)} outcomes identical to {args.rev}")
     return 1 if differ else 0
