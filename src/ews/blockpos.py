@@ -16,15 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParamError, NoConvergedRestartError, NoConvergenceError
-from .linalg import BipartiteOperator, eig_hermitian, is_psd, pt_mat
-from .linalg import require_int, require_orthonormal_rows, tolerance_scale
-from .states import haar_vector
+from .linalg import BipartiteOperator, eig_hermitian, pt_mat
+from .linalg import require_int, require_orthonormal_rows, spectrum_is_psd
+from .linalg import tolerance_scale
 
 SEESAW_ITER_CAP = 500
 # A search in which no restart has converged within this many rounds fails.
 SEESAW_ITER_CEILING = 20 * SEESAW_ITER_CAP
 SEESAW_VALUE_TOL = 1e-12
 DEFAULT_RESTARTS = 64
+# The fixed second word of the see-saw's start generator, default_rng([seed,
+# word]): it keeps the starts apart from the stream of default_rng(seed),
+# which `sample_dew` and `random_state` draw from.
+_START_STREAM = 0x5EE5A
 # Every EXTRAPOLATE_EVERY-th round a restart whose last two value steps
 # shrink by a ratio between 0 and EXTRAPOLATE_MAX_RATIO first jumps ahead
 # along its converging a-vector (see `_seesaw`).
@@ -35,6 +39,8 @@ AGREE_MIN = 4
 # The restart counts behind every see-saw answer, in output order; the
 # agreement rule (`OptResult.backed`) judges the last of them.
 EVIDENCE = ("restarts_tried", "restarts_converged", "restarts_agreeing")
+# the smallest normal float: `_extrapolate` gives an orthogonal pair phase 0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -83,12 +89,33 @@ def evidence(result: OptResult | BlockPositivityVerdict) -> dict:
     return {key: getattr(result, key) for key in EVIDENCE}
 
 
-def _reduced(wv: np.ndarray, v: np.ndarray, keep: int, dim: int) -> np.ndarray:
+def _starts(seed: int, restarts: int, m: int) -> np.ndarray:
+    """The (restarts, m) stack of start a-vectors: row r is the unit vector
+    along g[r, 0] + i g[r, 1], g one (restarts, 2, m) draw of standard
+    normals from default_rng([seed, _START_STREAM]).  The draw fills g in C
+    order, so restart r's start does not depend on the restart count."""
+    g = np.random.default_rng([seed, _START_STREAM]).standard_normal((restarts, 2, m))
+    a = g[:, 0] + 1j * g[:, 1]
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _layouts(op: BipartiteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """W[i, j, k, l] = <ij|W|kl> laid out for `_reduced`: rows (i, k) and
+    columns (j, l) to trace out a, shape (m*m, n*n); rows (j, l) and
+    columns (i, k) to trace out b, shape (n*n, m*m)."""
+    m, n = op.m, op.n
+    w4 = op.mat.reshape(m, n, m, n)
+    return (w4.transpose(0, 2, 1, 3).reshape(m * m, n * n),
+            w4.transpose(1, 3, 0, 2).reshape(n * n, m * m))
+
+
+def _reduced(layout: np.ndarray, v: np.ndarray, keep: int) -> np.ndarray:
     """<v|W|v> on the other party, a (keep, keep) matrix for each row of
-    the (r, dim) stack v.  wv is W's tensor with v's bra index first and
-    v's ket index last, shape (dim, keep*keep*dim): one matmul contracts the
-    bra index with conj(v), a batched one the ket index with v."""
-    return ((v.conj() @ wv).reshape(-1, keep, keep, dim) @ v[:, None, :, None])[..., 0]
+    the (r, dim) stack v: one matmul of the (r, dim*dim) stack of
+    conj(v) (x) v with W's `_layouts` entry for v's party."""
+    r, dim = v.shape
+    pairs = (v.conj()[:, :, None] * v[:, None, :]).reshape(r, dim * dim)
+    return (pairs @ layout).reshape(r, keep, keep)
 
 
 def _require_search(restarts, seed) -> tuple[int, int]:
@@ -121,8 +148,8 @@ def _extrapolate(a: np.ndarray, a_old: np.ndarray, s1: np.ndarray, s2: np.ndarra
     # every row is stepped, and only the jumping ones are kept: fewer numpy
     # calls than selecting them first; an orthogonal pair gets phase 0
     rate = np.sqrt(np.where(jump, q, 0.0))[:, None]
-    overlap = np.sum(a_old.conj() * a, axis=1, keepdims=True)
-    phase = overlap / np.maximum(np.abs(overlap), np.finfo(float).tiny)
+    overlap = (a_old.conj() * a).sum(axis=1, keepdims=True)
+    phase = overlap / np.maximum(np.abs(overlap), _TINY)
     x = a + (a - phase * a_old) * (rate / (1.0 - rate))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return np.where(jump[:, None], x, a), jump
@@ -159,24 +186,18 @@ def _seesaw(
     half-step from their a-vectors, in one more stacked eigensolve that
     counts no iteration.  A round that jumps converges no restart.
 
-    Restart r starts from a Haar vector drawn from default_rng([seed, r]),
-    so every (seed, restart) pair has its own start and two seeds never
-    share a start set.
+    Restart r starts from row r of `_starts(seed, restarts, m)`, one draw
+    from default_rng([seed, _START_STREAM]): its start does not depend on
+    the restart count, and two seeds never share a start set.
     """
     restarts, seed = _require_search(restarts, seed)
     m, n = op.m, op.n
-    # W[i, j, k, l] laid out for the two reductions: (i; j, l, k) to trace
-    # out a, (j; i, k, l) to trace out b
-    w4 = op.mat.reshape(m, n, m, n)
-    wa = w4.transpose(0, 1, 3, 2).reshape(m, n * n * m)
-    wb = w4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
+    # built once per search, so each half-step is one matmul
+    la, lb = _layouts(op)
     sign = 1.0 if mode == "min" else -1.0
 
     # the first half-step overwrites b, so only a is drawn
-    a_live = np.array(
-        [haar_vector(m, np.random.default_rng([seed, r])) for r in range(restarts)],
-        dtype=complex,
-    ).reshape(restarts, m)
+    a_live = _starts(seed, restarts, m)
     a = np.empty_like(a_live)
     b = np.empty((restarts, n), dtype=complex)
     vals = np.empty(restarts)
@@ -192,38 +213,37 @@ def _seesaw(
         start, jump = a_live, None
         if rounds % EXTRAPOLATE_EVERY == 0:
             start, jump = _extrapolate(a_live, a_old, s1, s2)
-        lam, b_live = _extreme_eigvec(_reduced(wa, start, n, m), mode)
+        lam, b_live = _extreme_eigvec(_reduced(la, start, n), mode)
         if jump is not None:
             back = jump & (sign * (lam - prev) > 0)
             if back.any():
                 # the jump made things worse: those restarts redo the half-step
-                _, b_live[back] = _extreme_eigvec(_reduced(wa, a_live[back], n, m), mode)
+                _, b_live[back] = _extreme_eigvec(_reduced(la, a_live[back], n), mode)
                 jump &= ~back
         a_old = a_live
-        val, a_live = _extreme_eigvec(_reduced(wb, b_live, m, n), mode)
+        val, a_live = _extreme_eigvec(_reduced(lb, b_live, m), mode)
         delta = sign * (val - prev)
         s1, s2 = delta, s1
         # each half-step is an exact local optimization, so the value
-        # sequence must be monotone up to roundoff; NaN fails this too
-        wrong = ~(delta <= 1e-9)
-        if wrong.any():
-            i = int(np.argmax(wrong))
+        # sequence must be monotone up to roundoff; a NaN step makes the
+        # maximum NaN and fails this too
+        if not delta.max() <= 1e-9:
+            i = int(np.argmax(~(delta <= 1e-9)))
             raise NoConvergenceError(
                 f"see-saw {mode} value moved the wrong way: "
                 f"{float(prev[i])!r} -> {float(val[i])!r}"
             )
-        if below is not None:
+        if below is not None and val.min() < below:
             i = val.argmin()
-            if val[i] < below:
-                return OptResult(
-                    value=float(val[i]),
-                    vec_a=a_live[i],
-                    vec_b=b_live[i],
-                    restarts_tried=restarts,
-                    restarts_converged=int(converged.sum()),
-                    restarts_agreeing=0,
-                    iterations=total_iters,
-                )
+            return OptResult(
+                value=float(val[i]),
+                vec_a=a_live[i],
+                vec_b=b_live[i],
+                restarts_tried=restarts,
+                restarts_converged=int(converged.sum()),
+                restarts_agreeing=0,
+                iterations=total_iters,
+            )
         done = np.abs(delta) < SEESAW_VALUE_TOL
         if jump is not None:
             done &= ~jump
@@ -305,7 +325,9 @@ def is_block_positive(
     first, so a bad one raises BadParamError even for yes-psd.
     """
     restarts, seed = _require_search(restarts, seed)
-    if is_psd(op.mat) or is_psd(pt_mat(op.mat, op.m, op.n)):
+    # one LAPACK call for W and W^PT, with the spectra of two separate calls
+    pair = np.stack((op.mat, pt_mat(op.mat, op.m, op.n)))
+    if any(map(spectrum_is_psd, eig_hermitian(pair).values, pair)):
         return BlockPositivityVerdict("yes-psd", None, 0, 0, 0, 0)
     scale = tolerance_scale(op.mat)
     cut = -1e-9 * scale

@@ -179,12 +179,14 @@ def eig_hermitian(h: np.ndarray) -> Spectrum:
 
     Raises NotHermitianError on non-square, non-finite or non-Hermitian
     input and NoConvergenceError if LAPACK fails to converge, which the
-    gufunc reports by NaN eigenvalues.  Identical input gives identical
-    output on one numpy/LAPACK build.
+    gufunc reports by NaN eigenvalues.  One BLAS dot product finds them:
+    the sum of the squared eigenvalues is NaN exactly when one of them is,
+    since squares are never negative, and 0 for an empty stack.  Identical
+    input gives identical output on one numpy/LAPACK build.
     """
     h = require_hermitian(h)
     vals, vecs = _eigh_lo(h, signature="D->dD")
-    if np.isnan(vals).any():
+    if math.isnan(np.vdot(vals, vals)):
         raise NoConvergenceError("eigh failed: eigenvalues did not converge")
     return Spectrum(values=vals[..., ::-1], vectors=vecs[..., ::-1])
 

@@ -551,13 +551,14 @@ def _conjugated(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _require_detectable(m: int, n: int) -> None:
-    """Reject the sizes on which detect_npt has no base witness to offer."""
-    if m > n:
-        raise BadParamError("expects m <= n; transpose the factors first")
+    """Reject the sizes on which detect_npt has no base witness to offer;
+    a size that admits no nondecomposable witness says so in either order."""
     if m * n <= 6:
         raise BadParamError(
             "qubit-qubit and qubit-qutrit systems admit no nondecomposable witness"
         )
+    if m > n:
+        raise BadParamError("expects m <= n; transpose the factors first")
 
 
 def detect_npt(

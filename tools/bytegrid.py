@@ -18,7 +18,7 @@ first parameter (such as ``cli mirror``, ``npt_detection (3,3)`` or
 ``mirror_conditions (3,3)``).  Exits 1 if any digest differs, 0 if none
 does, and 2 if the revision or a tree cannot be run.
 
-The grid has 453 entries.  286 suite entries cover all eight suites:
+The grid has 454 entries.  286 suite entries cover all eight suites:
 
 - ``dew_bounds``, ``ew_spectral_ranges``, ``tail_sum_bounds`` and
   ``absolute_ppt`` at (2,2), (2,3), (3,3), (2,4), (3,4), seeds 1/7/42,
@@ -32,7 +32,7 @@ The grid has 453 entries.  286 suite entries cover all eight suites:
 Suites sharing a key run back to back, so a tree that reuses work across
 suites is compared on both its cold and its reused path.
 
-42 CLI entries follow the suites, at the CLI's default seed and restarts
+43 CLI entries follow the suites, at the CLI's default seed and restarts
 unless named: ``ndew`` on ``gamma``, ``gamma_prime`` and ``rho_b`` at
 b = 0.9; ``blockpos`` in modes ``verdict``, ``min`` and ``max`` and
 ``mirror`` on each ``ndew`` output; ``ndew`` on the tiles state with one
@@ -43,7 +43,9 @@ so reach a ``no``; ``detect`` on
 the qubit Bell state embedded at (3,3) and (2,4), on the qutrit Bell
 state (whose transposed bottom eigenvector has Schmidt rank 2) and on a
 seeded 3x3 Wishart state that takes the ``gamma2`` base; ``report`` in
-JSON and in CSV on each ``detect`` output, and in CSV on the PSD
+JSON and in CSV on each of those ``detect`` outputs; ``detect`` on the
+qubit Bell state embedded at (3,2), a size that admits no nondecomposable
+witness (exit 2); ``report`` in CSV on the PSD
 ``gamma`` state, which has no bound rows; ``blockpos --mode verdict``, ``mirror`` and
 ``ndew`` at ``--restarts`` 0 and -3; and ``blockpos --mode verdict`` on
 the PSD ``gamma`` state itself at ``--restarts`` 0 and -3 and at
@@ -75,7 +77,7 @@ decomposable witnesses ``sample_dew(m, n, x=0.3, seed)`` at 2x2, 2x3 and
 backs no maximum, so those answer ``inconclusive``; at 4 restarts a mirror
 is ``inconclusive`` where its restarts settle at different local maxima.
 
-The last CLI entry runs ``mirror --restarts 4 --seed 217065368`` on the 3x3
+The last CLI entry runs ``mirror --restarts 4 --seed 55`` on the 3x3
 witness in ``tests/stall_mirror_3x3.json``, a local unitary rotation of
 the trace-normalised mu I - C for the generalised Choi witness
 C = Phi[2,0,1] and mu = 4/3 + 1e-3.  None of the four restarts converges
@@ -254,6 +256,11 @@ def cli_digests() -> dict:
             run(f"report detect {name}", ["report", "--input", certificate])
             run(f"report --format csv detect {name}",
                 ["report", "--input", certificate, "--format", "csv"])
+        bell3x2 = os.path.join(tmp, "bell3x2.json")
+        linalg.write_operator(
+            bell3x2, states.pure_from_schmidt([2**-0.5] * 2, 3, 2).projector()
+        )
+        run("detect bell3x2", ["detect", "--input", bell3x2])
         run("report --format csv gamma state",
             ["report", "--input", ndew_files["gamma"][0], "--format", "csv"])
         for name in states.CANONICAL_NAMES:
@@ -285,8 +292,8 @@ def cli_digests() -> dict:
                 for restarts in ("1", "2", "4"):
                     run(f"mirror dew {m}x{n} seed={seed} --restarts {restarts}",
                         ["mirror", "--input", dew, "--restarts", restarts])
-        run("mirror slow 3x3 --restarts 4 --seed 217065368",
-            ["mirror", "--input", SLOW_MIRROR, "--restarts", "4", "--seed", "217065368"])
+        run("mirror slow 3x3 --restarts 4 --seed 55",
+            ["mirror", "--input", SLOW_MIRROR, "--restarts", "4", "--seed", "55"])
     return out
 
 
